@@ -50,6 +50,10 @@ type Backend struct {
 	// fault holds the injected copy/translate failures (nil = none).
 	fault *FaultPolicy
 
+	// errs is the per-chain error slice handed back to the queue, reused so
+	// a kick allocates nothing.
+	errs []error
+
 	// hostWorkers bounds the real host-side concurrency of the data path:
 	// how many pool workers one request's rows may shard across. 0 selects
 	// GOMAXPROCS; 1 keeps the copy path fully sequential (the deterministic
@@ -181,9 +185,18 @@ func (b *Backend) Migrate(tl *simtime.Timeline) error {
 	return nil
 }
 
-// HandleControl processes controlq chains: manager synchronization
-// (rank attach and detach).
-func (b *Backend) HandleControl(chain *virtio.Chain, tl *simtime.Timeline) error {
+// HandleControl serves a controlq kick: manager synchronization (rank
+// attach and detach), one chain at a time in submission order.
+func (b *Backend) HandleControl(chains []*virtio.Chain, tl *simtime.Timeline) []error {
+	errs := b.errSlots(len(chains))
+	for i, c := range chains {
+		errs[i] = b.control(c, tl)
+	}
+	return errs
+}
+
+// control processes one controlq chain.
+func (b *Backend) control(chain *virtio.Chain, tl *simtime.Timeline) error {
 	req, status, err := b.decode(chain)
 	if err != nil {
 		return err
@@ -243,37 +256,6 @@ func (b *Backend) recordVMMSpan(req virtio.Request, chain *virtio.Chain, start s
 	}
 }
 
-// HandleTransfer processes transferq chains: configuration, CI commands,
-// program load/launch, symbol access and rank data transfers.
-func (b *Backend) HandleTransfer(chain *virtio.Chain, tl *simtime.Timeline) error {
-	done := b.loop.Admit(tl)
-	defer func() { done(tl) }()
-
-	req, status, err := b.decode(chain)
-	if err != nil {
-		return err
-	}
-	defer b.recordVMMSpan(req, chain, tl.Now())(tl)
-	if b.rank == nil {
-		// The spec: the driver must not send requests while the device is
-		// not linked to a physical PIM device.
-		b.writeStatus(status, virtio.StatusError)
-		return fmt.Errorf("backend %s: %w", b.id, ErrNoRank)
-	}
-	endOp, err := b.acquire(tl)
-	if err != nil {
-		b.writeStatus(status, virtio.StatusError)
-		return err
-	}
-	defer func() { endOp(tl) }()
-	if err := b.dispatch(req, chain, status, tl); err != nil {
-		b.writeStatus(status, virtio.StatusError)
-		return err
-	}
-	b.writeStatus(status, virtio.StatusOK)
-	return nil
-}
-
 // acquire pins the rank for one admitted operation (or one whole pipelined
 // window). It revalidates against the fault policy (a physically-backed
 // rank may have died since the last request) and, when the manager's
@@ -318,59 +300,60 @@ func (b *Backend) acquire(tl *simtime.Timeline) (func(tl *simtime.Timeline), err
 	}, nil
 }
 
-// HandleWindow processes one kicked submission window — every chain the
-// guest staged before notifying once — in a single event-loop admission
-// under a single rank acquisition: the device-side half of notification
-// suppression. Chains are dispatched in submission order; each gets its own
-// status descriptor, so a corrupted or failing chain fails alone and never
-// wedges the drain. The caller signals one coalesced IRQ for the window.
+// errSlots returns the reused per-chain error slots, cleared, for a window
+// of n chains.
+func (b *Backend) errSlots(n int) []error {
+	if cap(b.errs) < n {
+		b.errs = make([]error, n)
+	}
+	errs := b.errs[:n]
+	clear(errs)
+	return errs
+}
+
+// HandleWindow serves every transferq kick — configuration, CI commands,
+// program load/launch, symbol access and rank data transfers — in a single
+// event-loop admission under a single rank acquisition: the device-side
+// half of notification suppression. A synchronous request arrives as the
+// last chain of its window, which without pipelining holds only that chain.
+// Chains are dispatched in submission order; each gets its own status
+// descriptor, so a corrupted or failing chain fails alone and never wedges
+// the drain. The caller signals one coalesced IRQ for the window.
+//
+// A chain's VMM span opens once its header decodes, before the rank check
+// and the acquisition, so the manager's resume charges (op:alloc wait,
+// op:ckpt, op:restore) fall inside the VMM hop of the chain that paid them.
 func (b *Backend) HandleWindow(chains []*virtio.Chain, tl *simtime.Timeline) []error {
-	errs := make([]error, len(chains))
+	errs := b.errSlots(len(chains))
 	if len(chains) == 0 {
 		return errs
 	}
 	done := b.loop.Admit(tl)
 	defer func() { done(tl) }()
 
-	type decoded struct {
-		req    virtio.Request
-		status []byte
-	}
-	decs := make([]*decoded, len(chains))
+	var endOp func(*simtime.Timeline)
 	for i, c := range chains {
 		req, status, err := b.decode(c)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		decs[i] = &decoded{req: req, status: status}
-	}
-	var endOp func(*simtime.Timeline)
-	for i, d := range decs {
-		if d == nil {
-			continue
-		}
-		if b.rank == nil {
-			b.writeStatus(d.status, virtio.StatusError)
+		span := b.recordVMMSpan(req, c, tl.Now())
+		switch {
+		case b.rank == nil:
+			// The spec: the driver must not send requests while the device
+			// is not linked to a physical PIM device.
 			errs[i] = fmt.Errorf("backend %s: %w", b.id, ErrNoRank)
-			continue
+		case endOp == nil:
+			endOp, errs[i] = b.acquire(tl)
 		}
-		if endOp == nil {
-			var err error
-			endOp, err = b.acquire(tl)
-			if err != nil {
-				b.writeStatus(d.status, virtio.StatusError)
-				errs[i] = err
-				endOp = nil
-				continue
-			}
+		if errs[i] == nil {
+			errs[i] = b.dispatch(req, c, status, tl)
 		}
-		span := b.recordVMMSpan(d.req, chains[i], tl.Now())
-		if err := b.dispatch(d.req, chains[i], d.status, tl); err != nil {
-			b.writeStatus(d.status, virtio.StatusError)
-			errs[i] = err
+		if errs[i] != nil {
+			b.writeStatus(status, virtio.StatusError)
 		} else {
-			b.writeStatus(d.status, virtio.StatusOK)
+			b.writeStatus(status, virtio.StatusOK)
 		}
 		span(tl)
 	}

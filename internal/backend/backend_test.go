@@ -58,10 +58,21 @@ func buildChain(t *testing.T, mem *hostmem.Memory, req virtio.Request, mid []vir
 	return &virtio.Chain{Descs: descs}
 }
 
+// handle drives one chain through the transferq handler: the window of one
+// chain a synchronous request arrives as.
+func handle(b *Backend, chain *virtio.Chain, tl *simtime.Timeline) error {
+	return b.HandleWindow([]*virtio.Chain{chain}, tl)[0]
+}
+
+// handleControl drives one chain through the controlq handler.
+func handleControl(b *Backend, chain *virtio.Chain, tl *simtime.Timeline) error {
+	return b.HandleControl([]*virtio.Chain{chain}, tl)[0]
+}
+
 func TestHandleTransferNoRank(t *testing.T) {
 	b, mem := testBackend(t, false)
 	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpCI, Offset: 1}, nil)
-	err := b.HandleTransfer(chain, simtime.New())
+	err := handle(b, chain, simtime.New())
 	if !errors.Is(err, ErrNoRank) {
 		t.Errorf("want ErrNoRank, got %v", err)
 	}
@@ -69,7 +80,7 @@ func TestHandleTransferNoRank(t *testing.T) {
 
 func TestHandleTransferShortChain(t *testing.T) {
 	b, _ := testBackend(t, true)
-	err := b.HandleTransfer(&virtio.Chain{Descs: []virtio.Desc{{GPA: 0, Len: 8}}}, simtime.New())
+	err := handle(b, &virtio.Chain{Descs: []virtio.Desc{{GPA: 0, Len: 8}}}, simtime.New())
 	if err == nil {
 		t.Error("a chain without a status descriptor must fail")
 	}
@@ -79,7 +90,7 @@ func TestHandleTransferStatusNotWritable(t *testing.T) {
 	b, mem := testBackend(t, true)
 	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpCI}, nil)
 	chain.Descs[len(chain.Descs)-1].Writable = false
-	err := b.HandleTransfer(chain, simtime.New())
+	err := handle(b, chain, simtime.New())
 	if err == nil || !strings.Contains(err.Error(), "not writable") {
 		t.Errorf("read-only status descriptor: %v", err)
 	}
@@ -88,7 +99,7 @@ func TestHandleTransferStatusNotWritable(t *testing.T) {
 func TestHandleTransferUnknownOp(t *testing.T) {
 	b, mem := testBackend(t, true)
 	chain := buildChain(t, mem, virtio.Request{Op: 99}, nil)
-	err := b.HandleTransfer(chain, simtime.New())
+	err := handle(b, chain, simtime.New())
 	if err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Errorf("unknown op: %v", err)
 	}
@@ -114,7 +125,7 @@ func TestHandleDataMalformedMatrix(t *testing.T) {
 	}
 	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpWriteRank},
 		[]virtio.Desc{{GPA: meta.GPA, Len: 8}})
-	if err := b.HandleTransfer(chain, simtime.New()); err == nil {
+	if err := handle(b, chain, simtime.New()); err == nil {
 		t.Error("row/descriptor count mismatch must fail")
 	}
 }
@@ -152,7 +163,7 @@ func TestHandleDataRowShortPages(t *testing.T) {
 		{GPA: rowMeta.GPA, Len: uint32(8 * virtio.DPUMetaWords)},
 		{GPA: pageBuf.GPA, Len: 8},
 	})
-	err = b.HandleTransfer(chain, simtime.New())
+	err = handle(b, chain, simtime.New())
 	// The hardened decode rejects the inconsistent geometry before any copy
 	// starts (it used to surface later as a short-row copy error).
 	if !errors.Is(err, ErrBadDescriptor) {
@@ -163,7 +174,7 @@ func TestHandleDataRowShortPages(t *testing.T) {
 func TestControlQueueRejectsTransferOps(t *testing.T) {
 	b, mem := testBackend(t, true)
 	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpWriteRank}, nil)
-	err := b.HandleControl(chain, simtime.New())
+	err := handleControl(b, chain, simtime.New())
 	if err == nil || !strings.Contains(err.Error(), "not valid on controlq") {
 		t.Errorf("transfer op on controlq: %v", err)
 	}
@@ -175,7 +186,7 @@ func TestAttachChargesManagerLatency(t *testing.T) {
 	tl := simtime.New()
 	tl.Attach(tr)
 	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpAttach}, nil)
-	if err := b.HandleControl(chain, tl); err != nil {
+	if err := handleControl(b, chain, tl); err != nil {
 		t.Fatal(err)
 	}
 	if b.Rank() == nil {

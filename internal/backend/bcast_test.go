@@ -66,7 +66,7 @@ func runBcastChain(t *testing.T, b *Backend, mem *hostmem.Memory, payload hostme
 		{GPA: pm.GPA, Len: uint32(8 * len(pages))},
 		{GPA: fanBuf.GPA, Len: uint32(len(fan))},
 	})
-	return b.HandleTransfer(chain, simtime.New())
+	return handle(b, chain, simtime.New())
 }
 
 func encodeFanout(t *testing.T, ids []uint32) []byte {
@@ -198,7 +198,7 @@ func TestBcastRejectsMultiRowChain(t *testing.T) {
 	mid = append(mid, mkRow()...)
 	mid = append(mid, virtio.Desc{GPA: fanBuf.GPA, Len: uint32(len(fan))})
 	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpWriteRankBcast}, mid)
-	if err := b.HandleTransfer(chain, simtime.New()); !errors.Is(err, ErrBadDescriptor) {
+	if err := handle(b, chain, simtime.New()); !errors.Is(err, ErrBadDescriptor) {
 		t.Fatalf("want ErrBadDescriptor for 2-row broadcast, got %v", err)
 	}
 }

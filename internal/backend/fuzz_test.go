@@ -57,7 +57,7 @@ func deserializeSeeds() (valid []matrixSeed, adversarial []matrixSeed) {
 }
 
 // runMatrixChain drives one encoded matrix at the backend through the wire
-// path (HandleTransfer), returning the device's verdict. The page buffer
+// path (HandleWindow), returning the device's verdict. The page buffer
 // points at real guest pages so valid encodings genuinely copy.
 func runMatrixChain(t *testing.T, s matrixSeed) error {
 	t.Helper()
@@ -96,7 +96,7 @@ func runMatrixChain(t *testing.T, s matrixSeed) error {
 		{GPA: dm.GPA, Len: uint32(8 * virtio.DPUMetaWords)},
 		{GPA: pm.GPA, Len: uint32(8 * int(s.pmWords))},
 	})
-	return b.HandleTransfer(chain, simtime.New())
+	return handle(b, chain, simtime.New())
 }
 
 // TestDeserializeSeedCorpus pins the corpus behavior down in a plain unit

@@ -177,11 +177,9 @@ func (h *Harness) RunVM(opts vmm.Options, vcpus int, fn func(env sdk.Env) error)
 		return Result{}, err
 	}
 	res := capture(vm)
-	for _, f := range vm.Frontends() {
-		res.Messages += f.Stats().Messages
-	}
 	res.Exits = vm.KVM().Exits()
 	res.Counters = obs.Aggregate(vm.Metrics())
+	res.Messages = res.Counters["frontend.messages"]
 	return res, nil
 }
 

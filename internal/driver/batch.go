@@ -22,8 +22,8 @@ type batchBuffer struct {
 	bufs    []hostmem.Buffer
 	used    []int
 	records int64
-	// frozen marks a set whose pages back a staged (pipelined) flush chain:
-	// it must not be written or reset until the window drains.
+	// frozen marks a set whose pages back a staged flush chain: it must not
+	// be written or reset until the window drains.
 	frozen bool
 }
 
@@ -105,59 +105,49 @@ func (f *Frontend) batchAppend(entries []sdk.DPUXfer, off int64, length int, tl 
 // dropBatch discards every staged record without shipping them: the
 // detach path uses it when a flush against a dead device fails, trading
 // already-unreachable data for a device that can still unlink cleanly.
-// With pipelining every rotating set is cleared, frozen or not.
+// Every rotating set is cleared, frozen or not.
 func (f *Frontend) dropBatch() {
 	for _, b := range f.batchSets {
 		b.reset()
 		b.frozen = false
 	}
-	if b := f.batch; b != nil {
-		b.reset()
-	}
 }
 
 // flushBatch ships every staged record in one serialized-matrix message.
-// Nil-safe and a no-op when nothing is staged. Under pipelining the flush
-// is staged on the avail ring instead: the set freezes (its pages back the
-// chain until the drain) and a fresh set takes over for subsequent writes.
+// Nil-safe and a no-op when nothing is staged. The set freezes while the
+// flush chain is in flight (its pages back the chain until the drain
+// settles it) and a free set takes over for subsequent writes; a window of
+// depth one drains at once and hands the same set back.
 func (f *Frontend) flushBatch(tl *simtime.Timeline) error {
 	b := f.batch
 	if b == nil || b.records == 0 {
 		return nil
 	}
-	var rows []matrixRow
+	rows := f.rowScratch[:0]
 	for d, used := range b.used {
 		if used == 0 {
 			continue
 		}
 		rows = append(rows, matrixRow{dpu: d, buf: b.bufs[d], size: used, mramOff: 0})
 	}
-	if f.pipelined() {
-		b.frozen = true
-		if err := f.stageRows(virtio.OpWriteRank, rows, virtio.BatchSentinel, 0, tl); err != nil {
-			if b.frozen {
-				// The stage failed before any drain: thaw so the records
-				// stay visible to the synchronous caller.
-				b.frozen = false
-			}
-			return err
-		}
-		f.cBatchFlushes.Inc()
-		nb := f.freeBatchSet()
-		if nb == nil {
-			// Every set is frozen behind the window; drain to recycle one.
-			if err := f.drainPipeline(tl); err != nil {
-				return err
-			}
-			nb = f.freeBatchSet()
-		}
-		f.batch = nb
-		return nil
-	}
-	if err := f.sendMatrixRows(virtio.OpWriteRank, rows, virtio.BatchSentinel, 0, tl); err != nil {
+	f.rowScratch = rows[:0]
+	s := f.nextSlot()
+	s.flush, b.frozen = b, true
+	req := virtio.Request{Op: virtio.OpWriteRank, Offset: virtio.BatchSentinel}
+	if err := f.postMatrix(s, req, rows, nil, tl); err != nil {
+		// A post that failed before any drain never reached the device.
+		f.settle(s, err)
 		return err
 	}
-	b.reset()
 	f.cBatchFlushes.Inc()
+	nb := f.freeBatchSet()
+	if nb == nil {
+		// Every set is frozen behind the window; drain to recycle one.
+		if err := f.drain(f.tq, tl); err != nil {
+			return err
+		}
+		nb = f.freeBatchSet()
+	}
+	f.batch = nb
 	return nil
 }

@@ -1,10 +1,7 @@
 package driver
 
 import (
-	"fmt"
-
 	"repro/internal/sdk"
-	"repro/internal/simtime"
 	"repro/internal/virtio"
 )
 
@@ -12,11 +9,12 @@ import (
 // same backing buffer for several DPUs (dpu_prepare_xfer with one pointer, a
 // common idiom for distributing lookup tables or model weights), the transfer
 // matrix's rows are byte-identical. The frontend collapses them into one wire
-// row plus a compact fan-out descriptor, so page management, serialization,
-// virtqueue descriptors and the backend's GPA->HVA translation are paid once
-// instead of once per DPU. Only the host-side bookkeeping shrinks: the rank
-// still receives every replica's bytes, so rank-side byte movement (and its
-// virtual time) is identical to the per-DPU path.
+// row plus a compact fan-out descriptor (postMatrix), so page management,
+// serialization, virtqueue descriptors and the backend's GPA->HVA
+// translation are paid once instead of once per DPU. Only the host-side
+// bookkeeping shrinks: the rank still receives every replica's bytes, so
+// rank-side byte movement (and its virtual time) is identical to the per-DPU
+// path.
 
 // bcastTargets reports whether the uniform transfer is a broadcast — a
 // write-to-rank of one backing buffer to two or more distinct DPUs — and
@@ -45,51 +43,4 @@ func (f *Frontend) bcastTargets(op virtio.Op, entries []sdk.DPUXfer) ([]uint32, 
 		return nil, false
 	}
 	return ids, true
-}
-
-// buildBcastDescs serializes the single payload row into the scratch set
-// (buildMatrixDescs charges page management and serialization for the
-// deduplicated page set only) and appends the fan-out descriptor.
-func (f *Frontend) buildBcastDescs(sc *matrixScratch, rows []matrixRow, ids []uint32, tl *simtime.Timeline) ([]virtio.Desc, error) {
-	descs, err := f.buildMatrixDescs(sc, rows, tl)
-	if err != nil {
-		return nil, err
-	}
-	n, err := virtio.EncodeFanout(sc.fanout.Data, ids)
-	if err != nil {
-		return nil, err
-	}
-	descs = append(descs, virtio.Desc{GPA: sc.fanout.GPA, Len: uint32(n)})
-	f.cBcastCollapsed.Inc()
-	f.cBcastRowsSaved.Add(int64(len(ids) - 1))
-	return descs, nil
-}
-
-// sendBcast ships the collapsed transfer synchronously.
-func (f *Frontend) sendBcast(rows []matrixRow, ids []uint32, off int64, length int, tl *simtime.Timeline) error {
-	descs, err := f.buildBcastDescs(&f.scratch, rows, ids, tl)
-	if err != nil {
-		return err
-	}
-	if len(descs)+2 > virtio.TransferQueueSize {
-		return fmt.Errorf("driver: chain of %d buffers exceeds transferq", len(descs)+2)
-	}
-	_, err = f.send(virtio.Request{
-		Op: virtio.OpWriteRankBcast, Offset: uint64(off), Length: uint64(length),
-	}, descs, tl)
-	return err
-}
-
-// stageBcast publishes the collapsed transfer on the submission window.
-func (f *Frontend) stageBcast(slot *pipeSlot, rows []matrixRow, ids []uint32, off int64, length int, tl *simtime.Timeline) error {
-	descs, err := f.buildBcastDescs(&slot.scratch, rows, ids, tl)
-	if err != nil {
-		return err
-	}
-	if len(descs)+2 > virtio.TransferQueueSize {
-		return fmt.Errorf("driver: chain of %d buffers exceeds transferq", len(descs)+2)
-	}
-	return f.stageChain(slot, virtio.Request{
-		Op: virtio.OpWriteRankBcast, Offset: uint64(off), Length: uint64(length),
-	}, descs, tl)
 }

@@ -70,7 +70,7 @@ func (c *prefetchCache) hit(d int, off int64, length int) bool {
 // cache window per DPU starting at the requested address.
 func (f *Frontend) readViaCache(entries []sdk.DPUXfer, off int64, length int, tl *simtime.Timeline) error {
 	c := f.cache
-	var missRows []matrixRow
+	missRows := f.rowScratch[:0]
 	for _, e := range entries {
 		if e.DPU < 0 || e.DPU >= len(c.bufs) {
 			return fmt.Errorf("driver: DPU %d outside cache of %d", e.DPU, len(c.bufs))
@@ -94,24 +94,25 @@ func (f *Frontend) readViaCache(entries []sdk.DPUXfer, off int64, length int, tl
 			mramOff: off,
 		})
 	}
-	if len(missRows) == 0 {
-		// Fully cache-served, so no request will ride as the window's tail:
-		// drain explicitly — reads are synchronization points. (A hit also
-		// proves no staged chain touches this data: any write since the
-		// last fill would have invalidated the cache.)
-		if err := f.drainPipeline(tl); err != nil {
+	f.rowScratch = missRows[:0]
+	// The refill (if any) is the synchronous request closing the window; a
+	// fully cache-served read still drains it — reads are synchronization
+	// points. (A hit also proves no staged chain touches this data: any
+	// write since the last fill would have invalidated the cache.)
+	if len(missRows) > 0 {
+		req := virtio.Request{Op: virtio.OpReadRank, Offset: uint64(off), Length: uint64(c.size)}
+		if err := f.postMatrix(f.sync, req, missRows, nil, tl); err != nil {
 			return err
 		}
-	} else {
-		if err := f.sendMatrixRows(virtio.OpReadRank, missRows, uint64(off), uint64(c.size), tl); err != nil {
-			return err
-		}
-		for _, row := range missRows {
-			c.start[row.dpu] = off
-			c.winLen[row.dpu] = row.size
-			c.valid[row.dpu] = true
-			f.cCacheMisses.Inc()
-		}
+	}
+	if err := f.drain(f.tq, tl); err != nil {
+		return err
+	}
+	for _, row := range missRows {
+		c.start[row.dpu] = off
+		c.winLen[row.dpu] = row.size
+		c.valid[row.dpu] = true
+		f.cCacheMisses.Inc()
 	}
 	// Serve every DPU from the cache window.
 	for _, e := range entries {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/hostmem"
 	"repro/internal/manager"
+	"repro/internal/obs"
 	"repro/internal/pim"
 	"repro/internal/sdk"
 	"repro/internal/vmm"
@@ -45,6 +46,11 @@ func stack(t *testing.T, opts vmm.Options) (*vmm.VM, *driver.Frontend, *sdk.Set)
 	return vm, vm.Frontends()[0], set
 }
 
+// count reads one of the VM's counters, summed over its devices.
+func count(vm *vmm.VM, name string) int64 {
+	return obs.Aggregate(vm.Metrics())[name]
+}
+
 func mkBuf(t *testing.T, vm *vmm.VM, n int, fill byte) hostmem.Buffer {
 	t.Helper()
 	buf, err := vm.AllocBuffer(n)
@@ -58,22 +64,21 @@ func mkBuf(t *testing.T, vm *vmm.VM, n int, fill byte) hostmem.Buffer {
 }
 
 func TestBatchingDefersSmallWrites(t *testing.T) {
-	vm, front, set := stack(t, vmm.Options{Batch: true})
-	before := front.Stats()
+	vm, _, set := stack(t, vmm.Options{Batch: true})
+	before := count(vm, "frontend.messages")
 	buf := mkBuf(t, vm, 256, 0x11)
 	for i := 0; i < 10; i++ {
 		if err := set.CopyToMRAM(0, int64(i*256), buf, 256); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := front.Stats()
-	if st.BatchedWrites != 10 {
-		t.Errorf("batched writes = %d, want 10", st.BatchedWrites)
+	if got := count(vm, "frontend.batch.appends"); got != 10 {
+		t.Errorf("batched writes = %d, want 10", got)
 	}
-	if st.BatchFlushes != 0 {
-		t.Errorf("flushes = %d before any non-write op", st.BatchFlushes)
+	if got := count(vm, "frontend.batch.flushes"); got != 0 {
+		t.Errorf("flushes = %d before any non-write op", got)
 	}
-	if got := st.Messages - before.Messages; got != 0 {
+	if got := count(vm, "frontend.messages") - before; got != 0 {
 		t.Errorf("batched writes sent %d messages, want 0", got)
 	}
 	// A read forces the flush and must observe every batched write.
@@ -81,8 +86,8 @@ func TestBatchingDefersSmallWrites(t *testing.T) {
 	if err := set.CopyFromMRAM(0, 0, out, 2560); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().BatchFlushes != 1 {
-		t.Errorf("flushes = %d after read", front.Stats().BatchFlushes)
+	if got := count(vm, "frontend.batch.flushes"); got != 1 {
+		t.Errorf("flushes = %d after read", got)
 	}
 	if !bytes.Equal(out.Data[:2560], bytes.Repeat([]byte{0x11}, 2560)) {
 		t.Error("flushed data not visible to the read")
@@ -90,12 +95,12 @@ func TestBatchingDefersSmallWrites(t *testing.T) {
 }
 
 func TestLargeWritesBypassBatch(t *testing.T) {
-	vm, front, set := stack(t, vmm.Options{Batch: true})
+	vm, _, set := stack(t, vmm.Options{Batch: true})
 	buf := mkBuf(t, vm, 64<<10, 0x22)
 	if err := set.CopyToMRAM(0, 0, buf, 64<<10); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().BatchedWrites != 0 {
+	if count(vm, "frontend.batch.appends") != 0 {
 		t.Error("64KB write must take the zero-copy path, not the batch")
 	}
 	// It must be immediately visible in MRAM.
@@ -110,7 +115,7 @@ func TestLargeWritesBypassBatch(t *testing.T) {
 }
 
 func TestBatchOverflowFlushes(t *testing.T) {
-	vm, front, set := stack(t, vmm.Options{Batch: true})
+	vm, _, set := stack(t, vmm.Options{Batch: true})
 	// Batch capacity is 64 pages = 256 KB per DPU; 10 KB records overflow
 	// after ~25 appends.
 	buf := mkBuf(t, vm, 10<<10, 0x33)
@@ -119,13 +124,13 @@ func TestBatchOverflowFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if front.Stats().BatchFlushes == 0 {
+	if count(vm, "frontend.batch.flushes") == 0 {
 		t.Error("overflowing the batch buffer must flush")
 	}
 }
 
 func TestPrefetchCacheHitsAndInvalidation(t *testing.T) {
-	vm, front, set := stack(t, vmm.Options{Prefetch: true})
+	vm, _, set := stack(t, vmm.Options{Prefetch: true})
 	src := mkBuf(t, vm, 128<<10, 0x44)
 	if err := set.CopyToMRAM(0, 0, src, 128<<10); err != nil {
 		t.Fatal(err)
@@ -135,9 +140,8 @@ func TestPrefetchCacheHitsAndInvalidation(t *testing.T) {
 	if err := set.CopyFromMRAM(0, 0, out, 256); err != nil {
 		t.Fatal(err)
 	}
-	st := front.Stats()
-	if st.CacheFills != 1 || st.CacheHits != 0 {
-		t.Errorf("first read: fills=%d hits=%d, want 1/0", st.CacheFills, st.CacheHits)
+	if fills, hits := count(vm, "frontend.cache.misses"), count(vm, "frontend.cache.hits"); fills != 1 || hits != 0 {
+		t.Errorf("first read: fills=%d hits=%d, want 1/0", fills, hits)
 	}
 	// Consecutive small reads within the 64KB window must hit.
 	for off := int64(256); off < 16<<10; off += 256 {
@@ -145,11 +149,10 @@ func TestPrefetchCacheHitsAndInvalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st = front.Stats()
-	if st.CacheFills != 1 {
-		t.Errorf("fills = %d, want still 1", st.CacheFills)
+	if got := count(vm, "frontend.cache.misses"); got != 1 {
+		t.Errorf("fills = %d, want still 1", got)
 	}
-	if st.CacheHits == 0 {
+	if count(vm, "frontend.cache.hits") == 0 {
 		t.Error("in-window reads must hit")
 	}
 	if out.Data[0] != 0x44 {
@@ -163,13 +166,13 @@ func TestPrefetchCacheHitsAndInvalidation(t *testing.T) {
 	if err := set.CopyFromMRAM(0, 0, out, 256); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().CacheFills != 2 {
-		t.Errorf("fills after invalidating write = %d, want 2", front.Stats().CacheFills)
+	if got := count(vm, "frontend.cache.misses"); got != 2 {
+		t.Errorf("fills after invalidating write = %d, want 2", got)
 	}
 }
 
 func TestPrefetchReadBeyondWindowBypasses(t *testing.T) {
-	vm, front, set := stack(t, vmm.Options{Prefetch: true})
+	vm, _, set := stack(t, vmm.Options{Prefetch: true})
 	src := mkBuf(t, vm, 128<<10, 0x55)
 	if err := set.CopyToMRAM(0, 0, src, 128<<10); err != nil {
 		t.Fatal(err)
@@ -178,7 +181,7 @@ func TestPrefetchReadBeyondWindowBypasses(t *testing.T) {
 	if err := set.CopyFromMRAM(0, 0, out, 128<<10); err != nil {
 		t.Fatal(err)
 	}
-	if front.Stats().CacheFills != 0 {
+	if count(vm, "frontend.cache.misses") != 0 {
 		t.Error("reads larger than the cache window must bypass it")
 	}
 	if !bytes.Equal(out.Data[:128<<10], src.Data[:128<<10]) {
@@ -204,20 +207,20 @@ func TestCacheServesCorrectDataAfterBatchFlush(t *testing.T) {
 }
 
 func TestLaunchBootMessages(t *testing.T) {
-	_, front, set := stack(t, vmm.Options{})
+	vm, _, set := stack(t, vmm.Options{})
 	if err := set.Load("noop"); err != nil {
 		t.Fatal(err)
 	}
-	before := front.Stats().Messages
+	before := count(vm, "frontend.messages")
 	if err := set.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	first := front.Stats().Messages - before
-	before = front.Stats().Messages
+	first := count(vm, "frontend.messages") - before
+	before = count(vm, "frontend.messages")
 	if err := set.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	second := front.Stats().Messages - before
+	second := count(vm, "frontend.messages") - before
 	if first <= second {
 		t.Errorf("first launch after load (%d msgs) must exceed a relaunch (%d): the per-DPU boot sequence runs once", first, second)
 	}
@@ -256,7 +259,7 @@ func TestReleaseDetaches(t *testing.T) {
 // empty batch buffer must ride the unbatched matrix path. Before the fix the
 // staging copy silently clipped the payload to the buffer, corrupting MRAM.
 func TestBatchOversizedWriteFallsBack(t *testing.T) {
-	vm, front, set := stack(t, vmm.Options{
+	vm, _, set := stack(t, vmm.Options{
 		Batch: true,
 		// One-page buffers under a larger batching threshold so an
 		// oversized write passes the threshold check and reaches staging.
@@ -271,12 +274,11 @@ func TestBatchOversizedWriteFallsBack(t *testing.T) {
 	if err := set.CopyToMRAM(0, 0, big, capacity+8); err != nil {
 		t.Fatal(err)
 	}
-	st := front.Stats()
-	if st.BatchFallbacks != 1 {
-		t.Errorf("fallbacks = %d, want 1", st.BatchFallbacks)
+	if got := count(vm, "frontend.batch.fallbacks"); got != 1 {
+		t.Errorf("fallbacks = %d, want 1", got)
 	}
-	if st.BatchedWrites != 1 {
-		t.Errorf("batched writes = %d, want 1 (the small write only)", st.BatchedWrites)
+	if got := count(vm, "frontend.batch.appends"); got != 1 {
+		t.Errorf("batched writes = %d, want 1 (the small write only)", got)
 	}
 	out := mkBuf(t, vm, capacity+8, 0)
 	if err := set.CopyFromMRAM(0, 0, out, capacity+8); err != nil {

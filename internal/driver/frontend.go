@@ -26,8 +26,9 @@ const (
 	DefaultPrefetchPages = 16
 	// DefaultBatchPages is the batch buffer size per DPU (64 pages).
 	DefaultBatchPages = 64
-	// DefaultPipelineDepth is the submission window size: how many chains
-	// the frontend stages on the avail ring before it must kick.
+	// DefaultPipelineDepth is the submission window size with pipelining on:
+	// how many chains the frontend stages on the avail ring before it must
+	// kick. Without pipelining the depth is one.
 	DefaultPipelineDepth = 8
 	// batchRecordHeader is the packed record header: mramOff u64 + len u64.
 	batchRecordHeader = 16
@@ -46,12 +47,11 @@ type Options struct {
 	BatchPages int
 	// BatchThreshold is the largest per-DPU write the frontend batches.
 	BatchThreshold int
-	// Pipeline enables the pipelined submission window: independent chains
-	// are staged on the avail ring with notifications suppressed and kicked
-	// as one window answered by one coalesced IRQ.
+	// Pipeline enables the pipelined submission window: up to
+	// DefaultPipelineDepth independent chains are staged on the avail ring
+	// with notifications suppressed and kicked as one window answered by one
+	// coalesced IRQ. Off, the window depth is one: every request kicks alone.
 	Pipeline bool
-	// PipelineDepth overrides the window size (chains per kick).
-	PipelineDepth int
 	// Bcast enables broadcast deduplication: a write-to-rank whose rows all
 	// share one backing buffer collapses to a single wire row plus a fan-out
 	// descriptor, paying page management, serialization and translation once
@@ -68,9 +68,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchThreshold == 0 {
 		o.BatchThreshold = 16 << 10
-	}
-	if o.PipelineDepth == 0 {
-		o.PipelineDepth = DefaultPipelineDepth
 	}
 	return o
 }
@@ -96,32 +93,35 @@ type Frontend struct {
 	attached bool
 	cfg      virtio.DeviceConfig
 
-	// Scratch guest kernel buffers, allocated once at attach.
-	hdrBuf    hostmem.Buffer
-	statusBuf hostmem.Buffer
-	scratch   matrixScratch
-	symBuf    hostmem.Buffer
-	// Reusable driver-side scratch: the matrix row slice sendMatrix builds
-	// per call, and the broadcast detector's id list and seen set.
+	// Guest kernel buffers. They live as long as the device: the
+	// synchronous slot's descriptors and the config buffer are allocated at
+	// the first attach, everything sized by the rank geometry when a
+	// geometry is first seen, and a re-attach to a rank of the same geometry
+	// reuses them all (the guest allocator never frees).
+	sync   *slot
+	cfgBuf hostmem.Buffer
+	sized  geometry
+	// Reusable driver-side scratch: the matrix row slice requests build, and
+	// the broadcast detector's id list and seen set.
 	rowScratch []matrixRow
 	bcastIDs   []uint32
 	bcastSeen  []bool
 
 	cache *prefetchCache
 	batch *batchBuffer
-	// Pipelined submission window state: the per-chain slots, the chains
-	// currently published on the avail ring, and — with batching on — the
-	// rotating batch sets whose frozen members back staged flushes.
-	pipe      []*pipeSlot
+	// Submission window state: the staging slots (pipelining only), the
+	// chains currently published on the avail ring, and — with batching on
+	// — the rotating batch sets whose frozen members back staged flushes.
+	pipe      []*slot
 	staged    []stagedChain
 	batchSets []*batchBuffer
 	// booted records whether the loaded program's per-DPU CI boot sequence
 	// has run (cleared by LoadProgram).
 	booted bool
 
-	// Registry-backed counters (Stats() is the compatibility view). New
-	// binds them into a private registry so a standalone frontend still
-	// counts; the VMM rebinds them into the per-VM registry via SetObs.
+	// Registry-backed counters. New binds them into a private registry so a
+	// standalone frontend still counts; the VMM rebinds them into the per-VM
+	// registry via SetObs.
 	rec             *obs.Recorder
 	cMessages       *obs.Counter
 	cControlRTs     *obs.Counter
@@ -143,21 +143,10 @@ type Frontend struct {
 // must never be set outside tests.
 var TestHookBatchClip bool
 
-// Stats counts frontend activity for the evaluation harness.
-type Stats struct {
-	// Messages is the number of guest->VMM request chains sent.
-	Messages int64
-	// CacheHits and CacheFills count prefetch cache activity (every miss
-	// triggers a window fill, so CacheFills doubles as the miss count).
-	CacheHits  int64
-	CacheFills int64
-	// BatchedWrites counts writes absorbed into the batch buffer;
-	// BatchFlushes counts the messages that carried them; BatchFallbacks
-	// counts writes under the batch threshold whose packed record would
-	// not fit the batch buffer and were shipped unbatched instead.
-	BatchedWrites  int64
-	BatchFlushes   int64
-	BatchFallbacks int64
+// geometry is the rank shape the frontend's guest buffers are sized for.
+type geometry struct {
+	dpus      uint32
+	mramBytes uint64
 }
 
 var _ sdk.Device = (*Frontend)(nil)
@@ -201,18 +190,6 @@ func (f *Frontend) SetObs(reg *obs.Registry, rec *obs.Recorder) {
 // ID reports the device identifier (used as the manager owner string).
 func (f *Frontend) ID() string { return f.id }
 
-// Stats returns a snapshot of the frontend counters.
-func (f *Frontend) Stats() Stats {
-	return Stats{
-		Messages:       f.cMessages.Load(),
-		CacheHits:      f.cCacheHits.Load(),
-		CacheFills:     f.cCacheMisses.Load(),
-		BatchedWrites:  f.cBatchAppends.Load(),
-		BatchFlushes:   f.cBatchFlushes.Load(),
-		BatchFallbacks: f.cBatchFallbacks.Load(),
-	}
-}
-
 // Attached reports whether a physical rank is currently linked.
 func (f *Frontend) Attached() bool { return f.attached }
 
@@ -225,109 +202,71 @@ func (f *Frontend) MRAMBytes() int64 { return int64(f.cfg.MRAMBytes) }
 // FrequencyMHz implements sdk.Device.
 func (f *Frontend) FrequencyMHz() int { return int(f.cfg.FrequencyMHz) }
 
-// send pushes one request chain through the virtqueue: encode the header,
-// trap to the VMM, let the backend process, take the completion IRQ, check
-// the status descriptor. When a pipelined window is staged, the request is a
-// synchronization point and rides as the window's tail: one kick drains
-// everything in submission order. Returns a copy of the device-written
-// response payload — the status buffer is reused by the next request, so
-// the caller owns the returned slice.
-func (f *Frontend) send(req virtio.Request, extra []virtio.Desc, tl *simtime.Timeline) ([]byte, error) {
-	n, err := req.Encode(f.hdrBuf.Data)
-	if err != nil {
-		return nil, err
-	}
-	descs := make([]virtio.Desc, 0, len(extra)+2)
-	descs = append(descs, virtio.Desc{GPA: f.hdrBuf.GPA, Len: uint32(n)})
-	descs = append(descs, extra...)
-	descs = append(descs, virtio.Desc{GPA: f.statusBuf.GPA, Len: uint32(len(f.statusBuf.Data)), Writable: true})
-
-	f.cMessages.Inc()
-	reqID := f.rec.NextRequestID()
-	start := tl.Now()
-	chain := &virtio.Chain{Descs: descs, ReqID: reqID}
-	if len(f.staged) > 0 {
-		if err := f.drainWith(chain, tl); err != nil {
-			return nil, err
-		}
-	} else {
-		f.path.GuestToVMM(tl)
-		if err := f.tq.Submit(chain, tl); err != nil {
-			return nil, err
-		}
-		f.path.VMMToGuest(tl)
-	}
-	f.rec.Record(obs.Event{
-		Name: req.Op.String(), Cat: "guest", TID: obs.LaneGuest,
-		Req: reqID, Start: start, Dur: tl.Now() - start,
-	})
-
-	status, err := virtio.GetU64(f.statusBuf.Data, 0)
-	if err != nil {
-		return nil, err
-	}
-	if uint32(status) != virtio.StatusOK {
-		return nil, fmt.Errorf("%w: op %v", ErrDeviceError, req.Op)
-	}
-	out := make([]byte, len(f.statusBuf.Data)-8)
-	copy(out, f.statusBuf.Data[8:])
-	return out, nil
-}
-
 // Attach links the device to a physical rank through the backend and the
 // manager, then performs device initialization: the configuration request
-// and the scratch/cache/batch buffer setup (Section 3.2).
+// and the scratch/cache/batch buffer setup (Section 3.2). It is all or
+// nothing: when any step after the rank grant fails, the rank goes back over
+// the controlq and the device stays detached.
 func (f *Frontend) Attach(tl *simtime.Timeline) error {
 	if f.attached {
 		return nil
 	}
-	if f.hdrBuf.Data == nil {
-		var err error
-		if f.hdrBuf, err = f.mem.Alloc(256); err != nil {
-			return fmt.Errorf("alloc header buffer: %w", err)
+	if f.sync == nil {
+		s, err := newSlot(f.mem)
+		if err != nil {
+			return fmt.Errorf("alloc request buffers: %w", err)
 		}
-		if f.statusBuf, err = f.mem.Alloc(64); err != nil {
-			return fmt.Errorf("alloc status buffer: %w", err)
+		cfgBuf, err := f.mem.Alloc(virtio.ConfigResponseSize)
+		if err != nil {
+			return fmt.Errorf("alloc config buffer: %w", err)
 		}
+		f.sync, f.cfgBuf = s, cfgBuf
 	}
 	// Rank attachment goes through the controlq: it synchronizes with the
 	// manager rather than moving data.
-	if err := f.controlRoundTrip(virtio.OpAttach, tl); err != nil {
+	if err := f.control(virtio.OpAttach, tl); err != nil {
 		return err
 	}
+	if err := f.configure(tl); err != nil {
+		if rerr := f.control(virtio.OpRelease, tl); rerr != nil {
+			return fmt.Errorf("%w (releasing the rank: %v)", err, rerr)
+		}
+		return err
+	}
+	f.attached = true
+	return nil
+}
 
-	// Configuration request over the transferq.
-	cfgBuf, err := f.mem.Alloc(virtio.ConfigResponseSize)
-	if err != nil {
-		return fmt.Errorf("alloc config buffer: %w", err)
-	}
-	f.attached = true // send() below is now legal
-	if _, err := f.send(virtio.Request{Op: virtio.OpConfig}, []virtio.Desc{
-		{GPA: cfgBuf.GPA, Len: uint32(len(cfgBuf.Data)), Writable: true},
+// configure sends the configuration request over the transferq and sizes
+// the guest buffers for the rank geometry it reports.
+func (f *Frontend) configure(tl *simtime.Timeline) error {
+	if _, err := f.roundTrip(f.tq, virtio.Request{Op: virtio.OpConfig}, []virtio.Desc{
+		{GPA: f.cfgBuf.GPA, Len: uint32(len(f.cfgBuf.Data)), Writable: true},
 	}, tl); err != nil {
-		f.attached = false
 		return err
 	}
-	cfg, err := virtio.DecodeConfig(cfgBuf.Data)
+	cfg, err := virtio.DecodeConfig(f.cfgBuf.Data)
 	if err != nil {
-		f.attached = false
 		return err
 	}
 	f.cfg = cfg
 	return f.setupBuffers()
 }
 
-// setupBuffers allocates the serialization scratch, the prefetch cache and
-// the batch buffer once the rank geometry is known.
+// setupBuffers allocates the serialization scratch, the symbol page, the
+// prefetch cache, the batch buffer and the staging slots for the rank
+// geometry, unless they already exist for it. A failed build leaves no
+// geometry recorded, so the next attach rebuilds from scratch.
 func (f *Frontend) setupBuffers() error {
+	geom := geometry{dpus: f.cfg.NumDPUs, mramBytes: f.cfg.MRAMBytes}
+	if geom == f.sized {
+		return nil
+	}
+	f.sized = geometry{}
 	nDPUs := int(f.cfg.NumDPUs)
 	pagesPerDPU := int((f.cfg.MRAMBytes + hostmem.PageSize - 1) / hostmem.PageSize)
 
-	var err error
-	if f.scratch, err = newMatrixScratch(f.mem, nDPUs, pagesPerDPU); err != nil {
-		return err
-	}
-	if f.symBuf, err = f.mem.Alloc(hostmem.PageSize); err != nil {
+	if err := f.sync.size(f.mem, nDPUs, pagesPerDPU); err != nil {
 		return err
 	}
 	f.rowScratch = make([]matrixRow, 0, nDPUs)
@@ -335,6 +274,7 @@ func (f *Frontend) setupBuffers() error {
 		f.bcastIDs = make([]uint32, 0, nDPUs)
 		f.bcastSeen = make([]bool, nDPUs)
 	}
+	var err error
 	if f.opts.Prefetch {
 		if f.cache, err = newPrefetchCache(f.mem, nDPUs, f.opts.PrefetchPages); err != nil {
 			return err
@@ -344,12 +284,14 @@ func (f *Frontend) setupBuffers() error {
 		if f.batch, err = newBatchBuffer(f.mem, nDPUs, f.opts.BatchPages); err != nil {
 			return err
 		}
+		f.batchSets = []*batchBuffer{f.batch}
 	}
 	if f.opts.Pipeline {
 		if err = f.setupPipeline(); err != nil {
 			return err
 		}
 	}
+	f.sized = geom
 	return nil
 }
 
@@ -370,7 +312,7 @@ func (f *Frontend) MemoryOverheadBytes() int64 {
 		if f.opts.Pipeline {
 			// One batch set per window slot keeps flushed pages intact
 			// until the drain.
-			sets = int64(f.opts.PipelineDepth)
+			sets = DefaultPipelineDepth
 		}
 		total += sets * int64(f.opts.BatchPages) * hostmem.PageSize
 	}
@@ -379,49 +321,22 @@ func (f *Frontend) MemoryOverheadBytes() int64 {
 		if !f.opts.Batch {
 			perSlot += int64(f.cfg.NumDPUs) * int64(f.opts.BatchThreshold)
 		}
-		total += int64(f.opts.PipelineDepth) * perSlot
+		total += DefaultPipelineDepth * perSlot
 	}
 	return total
 }
 
-// controlRoundTrip sends one payload-less request over the controlq and
-// checks the status word: the manager-synchronization message shape used by
-// attach and detach.
-func (f *Frontend) controlRoundTrip(op virtio.Op, tl *simtime.Timeline) error {
-	// Control operations synchronize with the manager: drain any staged
-	// window first so the device sees every data chain before the sync.
-	if err := f.drainPipeline(tl); err != nil {
+// control sends one payload-less request over the controlq: the
+// manager-synchronization message shape used by attach and detach. The
+// transferq window drains first, so the device sees every data chain before
+// the sync.
+func (f *Frontend) control(op virtio.Op, tl *simtime.Timeline) error {
+	if err := f.drain(f.tq, tl); err != nil {
 		return err
 	}
 	f.cControlRTs.Inc()
-	f.cMessages.Inc()
-	var hdr [64]byte
-	req := virtio.Request{Op: op}
-	n, err := req.Encode(hdr[:])
-	if err != nil {
-		return err
-	}
-	copy(f.hdrBuf.Data, hdr[:n])
-	reqID := f.rec.NextRequestID()
-	start := tl.Now()
-	f.path.GuestToVMM(tl)
-	if err := f.cq.Submit(&virtio.Chain{Descs: []virtio.Desc{
-		{GPA: f.hdrBuf.GPA, Len: uint32(n)},
-		{GPA: f.statusBuf.GPA, Len: uint32(len(f.statusBuf.Data)), Writable: true},
-	}, ReqID: reqID}, tl); err != nil {
-		return err
-	}
-	f.path.VMMToGuest(tl)
-	f.rec.Record(obs.Event{
-		Name: op.String(), Cat: "guest", TID: obs.LaneGuest,
-		Req: reqID, Start: start, Dur: tl.Now() - start,
-	})
-	if status, err := virtio.GetU64(f.statusBuf.Data, 0); err != nil {
-		return err
-	} else if uint32(status) != virtio.StatusOK {
-		return fmt.Errorf("%w: %v", ErrDeviceError, op)
-	}
-	return nil
+	_, err := f.roundTrip(f.cq, virtio.Request{Op: op}, nil, tl)
+	return err
 }
 
 // Detach unlinks the physical rank through the controlq — the inverse of
@@ -440,13 +355,13 @@ func (f *Frontend) Detach(tl *simtime.Timeline) error {
 	if err := f.flushBatch(tl); err != nil {
 		f.dropBatch()
 	}
-	if err := f.drainPipeline(tl); err != nil {
-		// Same best-effort contract: the window was consumed either way,
-		// and any frozen batch sets were recycled by the drain.
+	if err := f.drain(f.tq, tl); err != nil {
+		// Same best-effort contract: the window was consumed either way;
+		// drop whatever a failed flush kept for a retry.
 		f.dropBatch()
 	}
 	f.cache.invalidate()
-	if err := f.controlRoundTrip(virtio.OpRelease, tl); err != nil {
+	if err := f.control(virtio.OpRelease, tl); err != nil {
 		return err
 	}
 	f.attached = false

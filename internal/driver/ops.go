@@ -31,7 +31,7 @@ func (f *Frontend) WriteRank(entries []sdk.DPUXfer, off int64, length int, tl *s
 		// Without batching, the pipelined window still absorbs small writes:
 		// the payload is copied into a slot and the chain staged, kick
 		// deferred to the next synchronization point.
-		if f.pipelined() && f.batch == nil && length <= f.opts.BatchThreshold {
+		if f.opts.Pipeline && f.batch == nil && length <= f.opts.BatchThreshold {
 			err = f.stageWrite(entries, off, length, tl)
 			return
 		}
@@ -68,38 +68,19 @@ func (f *Frontend) ReadRank(entries []sdk.DPUXfer, off int64, length int, tl *si
 // command with an inline payload. Like every non-write-to-rank request it
 // flushes the batch first.
 func (f *Frontend) SymWrite(dpu int, symbol string, off int, src []byte, tl *simtime.Timeline) error {
-	var err error
-	tl.Span(trace.OpCI, func(tl *simtime.Timeline) {
-		if err = f.ensureAttached(tl); err != nil {
-			return
-		}
-		if err = f.flushBatch(tl); err != nil {
-			return
-		}
-		if len(src) > len(f.symBuf.Data) {
-			err = fmt.Errorf("driver: symbol payload %d exceeds %d", len(src), len(f.symBuf.Data))
-			return
-		}
-		req := virtio.Request{
-			Op:     virtio.OpSymWrite,
-			DPU:    uint32(dpu),
-			Offset: uint64(off),
-			Length: uint64(len(src)),
-			Symbol: symbol,
-		}
-		if f.pipelined() {
-			err = f.stageSym(req, src, tl)
-			return
-		}
-		copy(f.symBuf.Data, src)
-		_, err = f.send(req, []virtio.Desc{{GPA: f.symBuf.GPA, Len: uint32(len(src))}}, tl)
-	})
-	return err
+	return f.symWrite(uint32(dpu), symbol, off, src, tl)
 }
 
 // SymBroadcast implements sdk.Device: one message writes the symbol on
 // every DPU (dpu_broadcast_to).
 func (f *Frontend) SymBroadcast(symbol string, off int, src []byte, tl *simtime.Timeline) error {
+	return f.symWrite(virtio.BroadcastDPU, symbol, off, src, tl)
+}
+
+// symWrite posts a symbol write. The payload is copied into the slot's
+// symbol page, so the caller's buffer is free to change before the window
+// drains.
+func (f *Frontend) symWrite(dpu uint32, symbol string, off int, src []byte, tl *simtime.Timeline) error {
 	var err error
 	tl.Span(trace.OpCI, func(tl *simtime.Timeline) {
 		if err = f.ensureAttached(tl); err != nil {
@@ -108,23 +89,19 @@ func (f *Frontend) SymBroadcast(symbol string, off int, src []byte, tl *simtime.
 		if err = f.flushBatch(tl); err != nil {
 			return
 		}
-		if len(src) > len(f.symBuf.Data) {
-			err = fmt.Errorf("driver: symbol payload %d exceeds %d", len(src), len(f.symBuf.Data))
+		s := f.nextSlot()
+		if len(src) > len(s.sym.Data) {
+			err = fmt.Errorf("driver: symbol payload %d exceeds %d", len(src), len(s.sym.Data))
 			return
 		}
-		req := virtio.Request{
+		copy(s.sym.Data, src)
+		err = f.submit(f.tq, s, virtio.Request{
 			Op:     virtio.OpSymWrite,
-			DPU:    virtio.BroadcastDPU,
+			DPU:    dpu,
 			Offset: uint64(off),
 			Length: uint64(len(src)),
 			Symbol: symbol,
-		}
-		if f.pipelined() {
-			err = f.stageSym(req, src, tl)
-			return
-		}
-		copy(f.symBuf.Data, src)
-		_, err = f.send(req, []virtio.Desc{{GPA: f.symBuf.GPA, Len: uint32(len(src))}}, tl)
+		}, []virtio.Desc{{GPA: s.sym.GPA, Len: uint32(len(src))}}, tl)
 	})
 	return err
 }
@@ -139,20 +116,21 @@ func (f *Frontend) SymRead(dpu int, symbol string, off int, dst []byte, tl *simt
 		if err = f.flushBatch(tl); err != nil {
 			return
 		}
-		if len(dst) > len(f.symBuf.Data) {
-			err = fmt.Errorf("driver: symbol payload %d exceeds %d", len(dst), len(f.symBuf.Data))
+		sym := f.sync.sym
+		if len(dst) > len(sym.Data) {
+			err = fmt.Errorf("driver: symbol payload %d exceeds %d", len(dst), len(sym.Data))
 			return
 		}
-		if _, err = f.send(virtio.Request{
+		if _, err = f.roundTrip(f.tq, virtio.Request{
 			Op:     virtio.OpSymRead,
 			DPU:    uint32(dpu),
 			Offset: uint64(off),
 			Length: uint64(len(dst)),
 			Symbol: symbol,
-		}, []virtio.Desc{{GPA: f.symBuf.GPA, Len: uint32(len(dst)), Writable: true}}, tl); err != nil {
+		}, []virtio.Desc{{GPA: sym.GPA, Len: uint32(len(dst)), Writable: true}}, tl); err != nil {
 			return
 		}
-		copy(dst, f.symBuf.Data[:len(dst)])
+		copy(dst, sym.Data[:len(dst)])
 	})
 	return err
 }
@@ -170,7 +148,7 @@ func (f *Frontend) LoadProgram(name string, tl *simtime.Timeline) error {
 		}
 		f.cache.invalidate()
 		f.booted = false
-		_, err = f.send(virtio.Request{Op: virtio.OpLoadProgram, Symbol: name}, nil, tl)
+		_, err = f.roundTrip(f.tq, virtio.Request{Op: virtio.OpLoadProgram, Symbol: name}, nil, tl)
 	})
 	return err
 }
@@ -210,7 +188,7 @@ func (f *Frontend) Launch(dpus []int, tl *simtime.Timeline) error {
 
 	var err error
 	tl.Span(trace.OpCI, func(tl *simtime.Timeline) {
-		_, err = f.send(virtio.Request{Op: virtio.OpLaunch, DPUMask: mask}, nil, tl)
+		_, err = f.roundTrip(f.tq, virtio.Request{Op: virtio.OpLaunch, DPUMask: mask}, nil, tl)
 	})
 	if err != nil {
 		return err
@@ -225,7 +203,7 @@ func (f *Frontend) Launch(dpus []int, tl *simtime.Timeline) error {
 		var done bool
 		tl.Span(trace.OpCI, func(tl *simtime.Timeline) {
 			var payload []byte
-			payload, err = f.send(virtio.Request{Op: virtio.OpCI, Offset: ciCmdStatus}, nil, tl)
+			payload, err = f.roundTrip(f.tq, virtio.Request{Op: virtio.OpCI, Offset: ciCmdStatus}, nil, tl)
 			if err == nil {
 				done = len(payload) > 0 && payload[0] != 0
 			}
@@ -272,7 +250,7 @@ func (f *Frontend) LaunchStart(dpus []int, tl *simtime.Timeline) (simtime.Durati
 	var err error
 	tl.Span(trace.OpCI, func(tl *simtime.Timeline) {
 		var payload []byte
-		payload, err = f.send(virtio.Request{Op: virtio.OpLaunch, DPUMask: mask}, nil, tl)
+		payload, err = f.roundTrip(f.tq, virtio.Request{Op: virtio.OpLaunch, DPUMask: mask}, nil, tl)
 		if err != nil {
 			return
 		}
@@ -311,11 +289,8 @@ func (f *Frontend) Release(tl *simtime.Timeline) error {
 	if err := f.flushBatch(tl); err != nil {
 		return err
 	}
-	if err := f.drainPipeline(tl); err != nil {
-		return err
-	}
 	f.cache.invalidate()
-	if err := f.controlRoundTrip(virtio.OpRelease, tl); err != nil {
+	if err := f.control(virtio.OpRelease, tl); err != nil {
 		return err
 	}
 	f.attached = false

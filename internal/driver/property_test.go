@@ -173,7 +173,7 @@ func TestBatchBoundaryRecordSizesProperty(t *testing.T) {
 	boundary := []int{8, 16, 4064, 4072, 4080, 4088, 4096, 6000, 8192}
 	rng := rand.New(rand.NewSource(31))
 	f := func(ops []uint16) bool {
-		vm, front, set := stack(t, vmm.Options{
+		vm, _, set := stack(t, vmm.Options{
 			Batch:  true,
 			Driver: driver.Options{BatchPages: 1},
 		})
@@ -213,8 +213,8 @@ func TestBatchBoundaryRecordSizesProperty(t *testing.T) {
 			}
 			return false
 		}
-		if st := front.Stats(); st.BatchFallbacks != wantFallbacks {
-			t.Logf("fallbacks = %d, want %d", st.BatchFallbacks, wantFallbacks)
+		if got := count(vm, "frontend.batch.fallbacks"); got != wantFallbacks {
+			t.Logf("fallbacks = %d, want %d", got, wantFallbacks)
 			return false
 		}
 		return true

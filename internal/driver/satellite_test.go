@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -35,7 +36,7 @@ func launchFault(vm *vmm.VM, fn func(c *virtio.Chain) error) virtio.ChainFault {
 // frontend set its booted flag before the OpLaunch send, so a faulted first
 // launch made the retry as cheap as a relaunch.
 func TestFailedLaunchRepaysBootSequence(t *testing.T) {
-	vm, front, set := stack(t, vmm.Options{})
+	vm, _, set := stack(t, vmm.Options{})
 	if err := set.Load("noop"); err != nil {
 		t.Fatal(err)
 	}
@@ -52,16 +53,16 @@ func TestFailedLaunchRepaysBootSequence(t *testing.T) {
 	}
 	vm.InjectChainFault(nil)
 
-	before := front.Stats().Messages
+	before := count(vm, "frontend.messages")
 	if err := set.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	retry := front.Stats().Messages - before
-	before = front.Stats().Messages
+	retry := count(vm, "frontend.messages") - before
+	before = count(vm, "frontend.messages")
 	if err := set.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	relaunch := front.Stats().Messages - before
+	relaunch := count(vm, "frontend.messages") - before
 	if retry <= relaunch {
 		t.Errorf("retry after a failed launch sent %d messages, a relaunch %d: the failed launch left the chips marked booted", retry, relaunch)
 	}
@@ -109,5 +110,43 @@ func TestReleaseRidesControlQueue(t *testing.T) {
 	}
 	if rts, cq := after["frontend.control.roundtrips"], after["virtio.controlq.chains"]; rts != cq {
 		t.Errorf("frontend.control.roundtrips=%d != virtio.controlq.chains=%d", rts, cq)
+	}
+}
+
+// TestFailedFlushKeepsRecordsForRetry: a batch flush the device rejects
+// must keep its records, so the next synchronizing request ships them
+// again — small writes already reported success to the caller. The flush
+// rides the same window drain as every other request, which recycles the
+// batch set it froze; only a set that still takes the writes may keep its
+// records, and without pipelining that is always the flushed one.
+func TestFailedFlushKeepsRecordsForRetry(t *testing.T) {
+	vm, _, set := stack(t, vmm.Options{Batch: true})
+	buf := mkBuf(t, vm, 256, 0x5c)
+	if err := set.CopyToMRAM(2, 512, buf, 256); err != nil {
+		t.Fatal(err)
+	}
+	tripped := false
+	vm.InjectChainFault(func(queue string, c *virtio.Chain) error {
+		hdr, err := vm.Memory().Slice(c.Descs[0].GPA, int(c.Descs[0].Len))
+		if err != nil {
+			return nil
+		}
+		req, err := virtio.DecodeRequest(hdr)
+		if err != nil || req.Offset != virtio.BatchSentinel || tripped {
+			return nil
+		}
+		tripped = true
+		return errors.New("injected fault on the batch flush")
+	})
+	defer vm.InjectChainFault(nil)
+	out := mkBuf(t, vm, 256, 0)
+	if err := set.CopyFromMRAM(2, 512, out, 256); err == nil {
+		t.Fatal("read succeeded although its batch flush failed")
+	}
+	if err := set.CopyFromMRAM(2, 512, out, 256); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Data, buf.Data) {
+		t.Error("the retried read lost the batched write of the failed flush")
 	}
 }

@@ -19,35 +19,56 @@ type matrixRow struct {
 }
 
 // sendMatrix serializes a uniform transfer (same offset and length on every
-// DPU) and pushes it through the virtqueue. The row slice is frontend
-// scratch, sized from the DPU count at attach, so the hot path allocates
-// nothing per call. A write whose rows all share one backing buffer takes
-// the broadcast fast path instead.
+// DPU) into the synchronous slot and waits for it. The row slice is
+// frontend scratch, sized from the DPU count at attach, so the hot path
+// allocates nothing per call. A write whose rows all share one backing
+// buffer takes the broadcast fast path instead.
 func (f *Frontend) sendMatrix(op virtio.Op, entries []sdk.DPUXfer, off int64, length int, tl *simtime.Timeline) error {
-	if ids, ok := f.bcastTargets(op, entries); ok {
-		rows := append(f.rowScratch[:0],
-			matrixRow{dpu: entries[0].DPU, buf: entries[0].Buf, size: length, mramOff: off})
-		return f.sendBcast(rows, ids, off, length, tl)
+	ids, bcast := f.bcastTargets(op, entries)
+	rows := f.rowScratch[:0]
+	for _, e := range entries {
+		rows = append(rows, matrixRow{dpu: e.DPU, buf: e.Buf, size: length, mramOff: off})
+		if bcast {
+			break
+		}
 	}
-	rows := f.rowScratch
-	if cap(rows) < len(entries) {
-		rows = make([]matrixRow, 0, len(entries))
-		f.rowScratch = rows
+	f.rowScratch = rows[:0]
+	req := virtio.Request{Op: op, Offset: uint64(off), Length: uint64(length)}
+	if err := f.postMatrix(f.sync, req, rows, ids, tl); err != nil {
+		return err
 	}
-	rows = rows[:len(entries)]
-	for i, e := range entries {
-		rows[i] = matrixRow{dpu: e.DPU, buf: e.Buf, size: length, mramOff: off}
-	}
-	return f.sendMatrixRows(op, rows, uint64(off), uint64(length), tl)
+	return f.drain(f.tq, tl)
 }
 
-// buildMatrixDescs serializes arbitrary rows into the given scratch set and
-// returns the descriptor chain body. The synchronous path serializes into
-// the frontend's own scratch; the pipelined path into a window slot's, so a
-// staged matrix survives until the drain.
-func (f *Frontend) buildMatrixDescs(sc *matrixScratch, rows []matrixRow, tl *simtime.Timeline) ([]virtio.Desc, error) {
+// postMatrix serializes rows into slot s and submits the chain on the
+// transferq. With a fan-out list (see bcastTargets) the single row is a
+// broadcast payload: the chain carries the fan-out descriptor after the
+// matrix and page management and serialization are paid for the
+// deduplicated set only. The request offset carries virtio.BatchSentinel
+// for packed batch flushes.
+func (f *Frontend) postMatrix(s *slot, req virtio.Request, rows []matrixRow, ids []uint32, tl *simtime.Timeline) error {
+	if err := f.buildMatrixDescs(s, rows, tl); err != nil {
+		return err
+	}
+	if ids != nil {
+		n, err := virtio.EncodeFanout(s.scratch.fanout.Data, ids)
+		if err != nil {
+			return err
+		}
+		s.body = append(s.body, virtio.Desc{GPA: s.scratch.fanout.GPA, Len: uint32(n)})
+		req.Op = virtio.OpWriteRankBcast
+		f.cBcastCollapsed.Inc()
+		f.cBcastRowsSaved.Add(int64(len(ids) - 1))
+	}
+	return f.submit(f.tq, s, req, s.body, tl)
+}
+
+// buildMatrixDescs serializes arbitrary rows into the slot's scratch set and
+// leaves the descriptor chain body in s.body.
+func (f *Frontend) buildMatrixDescs(s *slot, rows []matrixRow, tl *simtime.Timeline) error {
+	sc := &s.scratch
 	if len(rows) > len(sc.dpuMeta) {
-		return nil, fmt.Errorf("driver: %d matrix rows exceed %d DPUs", len(rows), len(sc.dpuMeta))
+		return fmt.Errorf("driver: %d matrix rows exceed %d DPUs", len(rows), len(sc.dpuMeta))
 	}
 
 	// Page management: the driver re-anchors the userspace pages backing
@@ -63,7 +84,7 @@ func (f *Frontend) buildMatrixDescs(sc *matrixScratch, rows []matrixRow, tl *sim
 	// Serialization: convert the matrix into metadata + page buffers of
 	// 64-bit integers (Fig. 7).
 	var err error
-	descs := make([]virtio.Desc, 0, 2*len(rows)+1)
+	descs := s.body[:0]
 	tl.Span(trace.StepSer, func(tl *simtime.Timeline) {
 		if err = virtio.PutU64s(sc.meta.Data, []uint64{uint64(len(rows))}); err != nil {
 			return
@@ -100,24 +121,7 @@ func (f *Frontend) buildMatrixDescs(sc *matrixScratch, rows []matrixRow, tl *sim
 		tl.Advance(mulDur(f.model.SerializePage, totalPages))
 		tl.Advance(f.model.VirtqueuePush)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return descs, nil
-}
-
-// sendMatrixRows serializes arbitrary rows and pushes them synchronously.
-// The request offset carries virtio.BatchSentinel for packed batch flushes.
-func (f *Frontend) sendMatrixRows(op virtio.Op, rows []matrixRow, reqOff, reqLen uint64, tl *simtime.Timeline) error {
-	descs, err := f.buildMatrixDescs(&f.scratch, rows, tl)
-	if err != nil {
-		return err
-	}
-	if len(descs)+2 > virtio.TransferQueueSize {
-		return fmt.Errorf("driver: chain of %d buffers exceeds transferq", len(descs)+2)
-	}
-
-	_, err = f.send(virtio.Request{Op: op, Offset: reqOff, Length: reqLen}, descs, tl)
+	s.body = descs
 	return err
 }
 

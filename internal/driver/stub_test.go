@@ -54,14 +54,26 @@ func stubStack(t *testing.T, opts Options) (*Frontend, *hostmem.Memory, *virtio.
 		}
 		return virtio.PutU64s(stBuf, []uint64{uint64(virtio.StatusOK)})
 	}
-	tq.SetHandler(handler)
-	cq.SetHandler(handler)
+	tq.SetHandler(perChain(handler))
+	cq.SetHandler(perChain(handler))
 	f := New("stub", mem, kvm.NewPath(model), tq, cq, model, opts)
 	tl := simtime.New()
 	if err := f.Attach(tl); err != nil {
 		t.Fatal(err)
 	}
 	return f, mem, tq, tl
+}
+
+// perChain adapts a one-chain stub into a window handler that serves each
+// chain of the window in order.
+func perChain(fn func(chain *virtio.Chain, tl *simtime.Timeline) error) virtio.Handler {
+	return func(chains []*virtio.Chain, tl *simtime.Timeline) []error {
+		errs := make([]error, len(chains))
+		for i, c := range chains {
+			errs[i] = fn(c, tl)
+		}
+		return errs
+	}
 }
 
 // TestGuestCopyChargesEngineC pins the calibration decision that guest-side
@@ -93,14 +105,14 @@ func TestGuestCopyChargesEngineC(t *testing.T) {
 	}
 }
 
-// TestSendReturnsOwnedPayload: the response payload send returns must be a
-// copy the caller owns. Before the fix it aliased the frontend's status
+// TestSendReturnsOwnedPayload: the response payload a synchronous request
+// returns must be a copy the caller owns. Before the fix it aliased the frontend's status
 // buffer, so the next request silently rewrote every previously returned
 // response under the caller's feet.
 func TestSendReturnsOwnedPayload(t *testing.T) {
 	f, mem, tq, tl := stubStack(t, Options{})
 	var seq uint64
-	tq.SetHandler(func(chain *virtio.Chain, tl *simtime.Timeline) error {
+	tq.SetHandler(perChain(func(chain *virtio.Chain, tl *simtime.Timeline) error {
 		seq++
 		st := chain.Descs[len(chain.Descs)-1]
 		buf, err := mem.Slice(st.GPA, int(st.Len))
@@ -108,15 +120,15 @@ func TestSendReturnsOwnedPayload(t *testing.T) {
 			return err
 		}
 		return virtio.PutU64s(buf, []uint64{uint64(virtio.StatusOK), seq})
-	})
-	first, err := f.send(virtio.Request{Op: virtio.OpCI, Offset: ciCmdStatus}, nil, tl)
+	}))
+	first, err := f.roundTrip(tq, virtio.Request{Op: virtio.OpCI, Offset: ciCmdStatus}, nil, tl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := binary.LittleEndian.Uint64(first); got != 1 {
 		t.Fatalf("first response payload = %d, want 1", got)
 	}
-	if _, err := f.send(virtio.Request{Op: virtio.OpCI, Offset: ciCmdStatus}, nil, tl); err != nil {
+	if _, err := f.roundTrip(tq, virtio.Request{Op: virtio.OpCI, Offset: ciCmdStatus}, nil, tl); err != nil {
 		t.Fatal(err)
 	}
 	if got := binary.LittleEndian.Uint64(first); got != 1 {

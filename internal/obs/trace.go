@@ -15,8 +15,8 @@ const (
 	LanePhase = 1 // phase:* categories (application phases)
 	LaneOp    = 2 // op:* categories (driver operations)
 	LaneStep  = 3 // step:* categories (write-to-rank steps)
-	LaneGuest = 4 // per-request guest-driver hop (Frontend.send)
-	LaneVMM   = 5 // per-request VMM hop (Backend.Handle*)
+	LaneGuest = 4 // per-request guest-driver hop (submission to drain)
+	LaneVMM   = 5 // per-request VMM hop (Backend.HandleWindow/HandleControl)
 	LaneRank  = 6 // per-request rank-op hop (physical MRAM access)
 )
 

@@ -133,17 +133,14 @@ type Chain struct {
 	ReqID int64
 }
 
-// Handler processes one request chain on the device side, advancing the
-// given timeline by the virtual cost of the work.
-type Handler func(chain *Chain, tl *simtime.Timeline) error
-
-// WindowHandler processes one kicked submission window — every chain the
-// guest published on the avail ring before notifying once — in a single
-// device-side pass. It returns one error slot per chain: a failing chain
-// fails alone, the rest of the window completes normally. When no window
-// handler is installed, SubmitAll falls back to running the per-chain
-// Handler over the window.
-type WindowHandler func(chains []*Chain, tl *simtime.Timeline) []error
+// Handler processes one kicked submission window — every chain the guest
+// published on the avail ring before notifying once — in a single
+// device-side pass, advancing the given timeline by the virtual cost of the
+// work. It returns one error slot per chain: a failing chain fails alone,
+// the rest of the window completes normally. A synchronous request is the
+// last chain of its window; without pipelining every window holds exactly
+// one chain.
+type Handler func(chains []*Chain, tl *simtime.Timeline) []error
 
 // ChainFault is an injected descriptor-chain fault for chaos testing: it
 // runs on every submitted chain before the device handler and may mutate
@@ -156,23 +153,29 @@ type ChainFault func(queue string, chain *Chain) error
 
 // Queue is one virtqueue of a virtio-pim device.
 type Queue struct {
-	name       string
-	size       int
-	handler    Handler
-	winHandler WindowHandler
-	fault      ChainFault
-	submitted  atomic.Int64
+	name      string
+	size      int
+	handler   Handler
+	fault     ChainFault
+	submitted atomic.Int64
 
 	// Ring state (event-idx style): pending holds the chains published on
 	// the avail ring but not yet kicked; avail/used are the ring indices and
-	// kicks counts guest notifications. A non-pipelined driver kicks once
-	// per chain, so kicks == avail == used; a pipelined driver publishes a
+	// kicks counts guest notifications. A window of one chain kicks once per
+	// chain, so kicks == avail == used; a pipelined driver publishes a
 	// window of chains and kicks once, and the gap between chains and kicks
 	// is exactly the suppressed-notification count.
 	pending []*Chain
 	avail   atomic.Int64
 	used    atomic.Int64
 	kicks   atomic.Int64
+
+	// Kick scratch, reused so a drain allocates nothing: the per-chain error
+	// slots handed back to the driver, and the chains that survived the
+	// fault injector with their positions in the window.
+	errs    []error
+	live    []*Chain
+	liveIdx []int
 
 	// Observability counters (nil until SetObs; nil counters swallow
 	// updates, so an unobserved queue pays only a nil check).
@@ -194,13 +197,9 @@ func (q *Queue) Name() string { return q.name }
 // Size reports the descriptor capacity.
 func (q *Queue) Size() int { return q.size }
 
-// SetHandler installs the device-side processing function; the VMM wires
-// this during device realization.
+// SetHandler installs the device-side window handler; the VMM wires this
+// during device realization.
 func (q *Queue) SetHandler(h Handler) { q.handler = h }
-
-// SetWindowHandler installs the device-side window drain used by SubmitAll
-// (nil falls back to the per-chain Handler).
-func (q *Queue) SetWindowHandler(h WindowHandler) { q.winHandler = h }
 
 // SetFault installs (or, with nil, removes) a chain-fault injector.
 func (q *Queue) SetFault(f ChainFault) { q.fault = f }
@@ -230,40 +229,9 @@ func (q *Queue) Kicks() int64 { return q.kicks.Load() }
 func (q *Queue) Pending() int { return len(q.pending) }
 
 // Stage publishes one chain on the avail ring without notifying the device:
-// the event-idx half of notification suppression. The chain is processed at
-// the next SubmitAll (or by the next Submit, which drains the window with
-// itself as the tail).
+// the event-idx half of notification suppression. The chain is processed
+// at the next Kick.
 func (q *Queue) Stage(chain *Chain) error {
-	if len(chain.Descs) > q.size {
-		return fmt.Errorf("%w: %d > %d", ErrChainTooLong, len(chain.Descs), q.size)
-	}
-	if q.handler == nil && q.winHandler == nil {
-		return ErrNoHandler
-	}
-	q.avail.Add(1)
-	q.cAvail.Inc()
-	q.pending = append(q.pending, chain)
-	return nil
-}
-
-// Submit validates and delivers one chain to the device handler. The caller
-// (the frontend, through the kvm transition layer) has already charged the
-// trap cost; the handler charges device-side work. If chains are pending on
-// the avail ring, the chain joins the window as its tail (one kick drains
-// everything) and the first failure in the window is returned.
-func (q *Queue) Submit(chain *Chain, tl *simtime.Timeline) error {
-	if len(q.pending) > 0 {
-		errs, err := q.SubmitAll(chain, tl)
-		if err != nil {
-			return err
-		}
-		for _, e := range errs {
-			if e != nil {
-				return e
-			}
-		}
-		return nil
-	}
 	if len(chain.Descs) > q.size {
 		return fmt.Errorf("%w: %d > %d", ErrChainTooLong, len(chain.Descs), q.size)
 	}
@@ -272,89 +240,57 @@ func (q *Queue) Submit(chain *Chain, tl *simtime.Timeline) error {
 	}
 	q.avail.Add(1)
 	q.cAvail.Inc()
-	q.kicks.Add(1)
-	q.cKicks.Inc()
-	q.submitted.Add(1)
-	q.cChains.Inc()
-	q.cDescs.Add(int64(len(chain.Descs)))
-	err := error(nil)
-	if q.fault != nil {
-		if ferr := q.fault(q.name, chain); ferr != nil {
-			err = fmt.Errorf("%w: %v", ErrDeviceFailed, ferr)
-		}
-	}
-	if err == nil {
-		err = q.handler(chain, tl)
-	}
-	q.used.Add(1)
-	q.cUsed.Inc()
-	return err
+	q.pending = append(q.pending, chain)
+	return nil
 }
 
-// SubmitAll kicks the device once and drains the whole avail window: every
-// staged chain plus the optional tail. It returns one error slot per chain
-// (staged order, tail last) and a structural error only when the queue has
-// no device handler at all. Chains the fault injector rejects fail alone
-// with their slot set; the rest of the window still reaches the device, and
-// every chain lands on the used ring — a corrupted chain must never wedge
-// the drain.
-func (q *Queue) SubmitAll(tail *Chain, tl *simtime.Timeline) ([]error, error) {
+// Kick notifies the device once and drains the whole avail window. The
+// caller (the frontend, through the kvm transition layer) has already
+// charged the trap cost; the handler charges device-side work. Kick returns
+// one error slot per chain, in staging order, and a structural error only
+// when the queue has no device handler. Chains the fault injector rejects
+// fail alone with their slot set; the rest of the window still reaches the
+// device, and every chain lands on the used ring — a corrupted chain must
+// never wedge the drain. The returned slice is reused by the next Kick.
+func (q *Queue) Kick(tl *simtime.Timeline) ([]error, error) {
 	chains := q.pending
-	q.pending = nil
-	if tail != nil {
-		q.avail.Add(1)
-		q.cAvail.Inc()
-		chains = append(chains, tail)
-	}
 	if len(chains) == 0 {
 		return nil, nil
 	}
-	if q.handler == nil && q.winHandler == nil {
-		// Re-publish so the caller can observe the stuck window; nothing was
-		// consumed.
-		q.pending = chains
-		if tail != nil {
-			q.pending = chains[:len(chains)-1]
-			q.avail.Add(-1)
-			q.cAvail.Add(-1)
-		}
+	if q.handler == nil {
 		return nil, ErrNoHandler
 	}
 	q.kicks.Add(1)
 	q.cKicks.Inc()
-	errs := make([]error, len(chains))
-	live := make([]*Chain, 0, len(chains))
-	liveIdx := make([]int, 0, len(chains))
+	if cap(q.errs) < len(chains) {
+		q.errs = make([]error, len(chains))
+	}
+	errs := q.errs[:len(chains)]
+	clear(errs)
+	q.live, q.liveIdx = q.live[:0], q.liveIdx[:0]
 	for i, c := range chains {
 		q.submitted.Add(1)
 		q.cChains.Inc()
 		q.cDescs.Add(int64(len(c.Descs)))
-		if len(c.Descs) > q.size {
-			errs[i] = fmt.Errorf("%w: %d > %d", ErrChainTooLong, len(c.Descs), q.size)
-			continue
-		}
 		if q.fault != nil {
 			if ferr := q.fault(q.name, c); ferr != nil {
 				errs[i] = fmt.Errorf("%w: %v", ErrDeviceFailed, ferr)
 				continue
 			}
 		}
-		live = append(live, c)
-		liveIdx = append(liveIdx, i)
+		q.live = append(q.live, c)
+		q.liveIdx = append(q.liveIdx, i)
 	}
-	if q.winHandler != nil {
-		for i, err := range q.winHandler(live, tl) {
-			if i < len(liveIdx) {
-				errs[liveIdx[i]] = err
+	if len(q.live) > 0 {
+		for i, err := range q.handler(q.live, tl) {
+			if i < len(q.liveIdx) {
+				errs[q.liveIdx[i]] = err
 			}
-		}
-	} else {
-		for i, c := range live {
-			errs[liveIdx[i]] = q.handler(c, tl)
 		}
 	}
 	q.used.Add(int64(len(chains)))
 	q.cUsed.Add(int64(len(chains)))
+	q.pending = chains[:0]
 	return errs, nil
 }
 

@@ -128,58 +128,67 @@ func TestU64Helpers(t *testing.T) {
 	}
 }
 
+// counting returns a window handler that accepts every chain and adds the
+// window's size to *n.
+func counting(n *int) Handler {
+	return func(chains []*Chain, tl *simtime.Timeline) []error {
+		*n += len(chains)
+		return make([]error, len(chains))
+	}
+}
+
+// TestQueueSubmit exercises a synchronous submission: one chain staged and
+// kicked alone, a window of depth one.
 func TestQueueSubmit(t *testing.T) {
 	q := NewQueue("transferq", 4)
 	if q.Name() != "transferq" || q.Size() != 4 {
 		t.Error("queue metadata wrong")
 	}
 	chain := &Chain{Descs: make([]Desc, 2)}
-	if err := q.Submit(chain, simtime.New()); !errors.Is(err, ErrNoHandler) {
+	if err := q.Stage(chain); !errors.Is(err, ErrNoHandler) {
 		t.Errorf("want ErrNoHandler, got %v", err)
 	}
 	handled := 0
-	q.SetHandler(func(c *Chain, tl *simtime.Timeline) error {
-		handled++
-		return nil
-	})
-	if err := q.Submit(chain, simtime.New()); err != nil {
+	q.SetHandler(counting(&handled))
+	if err := q.Stage(chain); err != nil {
 		t.Fatal(err)
 	}
-	if handled != 1 || q.Submitted() != 1 {
-		t.Errorf("handled=%d submitted=%d", handled, q.Submitted())
+	errs, err := q.Kick(simtime.New())
+	if err != nil || len(errs) != 1 || errs[0] != nil {
+		t.Fatalf("kick: errs=%v err=%v", errs, err)
+	}
+	if handled != 1 || q.Submitted() != 1 || q.Kicks() != 1 {
+		t.Errorf("handled=%d submitted=%d kicks=%d", handled, q.Submitted(), q.Kicks())
 	}
 	long := &Chain{Descs: make([]Desc, 5)}
-	if err := q.Submit(long, simtime.New()); !errors.Is(err, ErrChainTooLong) {
+	if err := q.Stage(long); !errors.Is(err, ErrChainTooLong) {
 		t.Errorf("want ErrChainTooLong, got %v", err)
+	}
+	if q.Pending() != 0 {
+		t.Errorf("rejected chain left %d pending", q.Pending())
 	}
 }
 
 // TestQueueWindow exercises the pipelined path: staged chains accumulate on
-// the avail ring without kicking, SubmitAll drains them with exactly one
-// kick, and the used index catches up to avail.
+// the avail ring without kicking, one Kick drains them all, and the used
+// index catches up to avail.
 func TestQueueWindow(t *testing.T) {
 	q := NewQueue("transferq", 8)
 	chain := func() *Chain { return &Chain{Descs: make([]Desc, 2)} }
-	if err := q.Stage(chain()); !errors.Is(err, ErrNoHandler) {
-		t.Errorf("stage without handler: want ErrNoHandler, got %v", err)
-	}
 	handled := 0
-	q.SetHandler(func(c *Chain, tl *simtime.Timeline) error {
-		handled++
-		return nil
-	})
+	q.SetHandler(counting(&handled))
 	if err := q.Stage(&Chain{Descs: make([]Desc, 9)}); !errors.Is(err, ErrChainTooLong) {
 		t.Errorf("want ErrChainTooLong, got %v", err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		if err := q.Stage(chain()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if q.Pending() != 3 || q.Kicks() != 0 || handled != 0 {
+	if q.Pending() != 4 || q.Kicks() != 0 || handled != 0 {
 		t.Fatalf("after staging: pending=%d kicks=%d handled=%d", q.Pending(), q.Kicks(), handled)
 	}
-	errs, err := q.SubmitAll(chain(), simtime.New())
+	errs, err := q.Kick(simtime.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +205,7 @@ func TestQueueWindow(t *testing.T) {
 			handled, q.Submitted(), q.Kicks(), q.Pending())
 	}
 	// Empty drain is a no-op.
-	errs, err = q.SubmitAll(nil, simtime.New())
+	errs, err = q.Kick(simtime.New())
 	if err != nil || errs != nil {
 		t.Errorf("empty drain: errs=%v err=%v", errs, err)
 	}
@@ -211,9 +220,9 @@ func TestQueueWindow(t *testing.T) {
 func TestQueueWindowFaultIsolation(t *testing.T) {
 	q := NewQueue("transferq", 8)
 	var handledChains []*Chain
-	q.SetHandler(func(c *Chain, tl *simtime.Timeline) error {
-		handledChains = append(handledChains, c)
-		return nil
+	q.SetHandler(func(chains []*Chain, tl *simtime.Timeline) []error {
+		handledChains = append(handledChains, chains...)
+		return make([]error, len(chains))
 	})
 	chains := make([]*Chain, 4)
 	for i := range chains {
@@ -229,7 +238,7 @@ func TestQueueWindowFaultIsolation(t *testing.T) {
 		}
 		return nil
 	})
-	errs, err := q.SubmitAll(nil, simtime.New())
+	errs, err := q.Kick(simtime.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +269,12 @@ func TestQueueWindowFaultIsolation(t *testing.T) {
 	}
 }
 
-// TestQueueWindowHandler verifies the window handler receives the surviving
-// chains in one call and its per-chain errors map back to the right slots.
+// TestQueueWindowHandler verifies the handler receives the surviving chains
+// in one call and its per-chain errors map back to the right slots.
 func TestQueueWindowHandler(t *testing.T) {
 	q := NewQueue("transferq", 8)
 	calls := 0
-	q.SetWindowHandler(func(chains []*Chain, tl *simtime.Timeline) []error {
+	q.SetHandler(func(chains []*Chain, tl *simtime.Timeline) []error {
 		calls++
 		errs := make([]error, len(chains))
 		for i := range chains {
@@ -280,7 +289,7 @@ func TestQueueWindowHandler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	errs, err := q.SubmitAll(nil, simtime.New())
+	errs, err := q.Kick(simtime.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,26 +298,6 @@ func TestQueueWindowHandler(t *testing.T) {
 	}
 	if errs[0] != nil || errs[1] == nil || errs[2] != nil {
 		t.Errorf("error mapping wrong: %v", errs)
-	}
-}
-
-// TestQueueSubmitDrainsPending asserts a plain Submit with staged chains
-// drains the whole window (itself as tail) under a single kick.
-func TestQueueSubmitDrainsPending(t *testing.T) {
-	q := NewQueue("transferq", 8)
-	handled := 0
-	q.SetHandler(func(c *Chain, tl *simtime.Timeline) error {
-		handled++
-		return nil
-	})
-	if err := q.Stage(&Chain{Descs: make([]Desc, 2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Submit(&Chain{Descs: make([]Desc, 2)}, simtime.New()); err != nil {
-		t.Fatal(err)
-	}
-	if handled != 2 || q.Kicks() != 1 || q.Pending() != 0 {
-		t.Errorf("handled=%d kicks=%d pending=%d", handled, q.Kicks(), q.Pending())
 	}
 }
 

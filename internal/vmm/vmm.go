@@ -41,14 +41,12 @@ type Options struct {
 	// future work: requests short-circuit in the host kernel instead of
 	// round-tripping through the VMM process, shrinking transition costs.
 	VhostVsock bool
-	// Pipeline enables the pipelined submission window: the frontend stages
-	// independent chains on the avail ring with event-idx notification
-	// suppression and the backend answers a kicked window with one coalesced
-	// IRQ, attacking the transition count itself rather than the per-
-	// transition cost.
+	// Pipeline deepens the submission window from one chain to
+	// driver.DefaultPipelineDepth: the frontend keeps independent chains
+	// staged on the avail ring with event-idx notification suppression and
+	// the backend answers a kicked window with one coalesced IRQ, attacking
+	// the transition count itself rather than the per-transition cost.
 	Pipeline bool
-	// PipelineDepth overrides the window size (chains per kick; default 8).
-	PipelineDepth int
 	// HostWorkers bounds the real host-side concurrency of the backend data
 	// path: how many worker-pool shards one request's rows may occupy, and
 	// (together with Parallel) whether multi-rank requests fan out on real
@@ -231,9 +229,6 @@ func NewVM(mach *pim.Machine, mgr manager.RankManager, cfg Config) (*VM, error) 
 	dopts.Prefetch = cfg.Options.Prefetch
 	dopts.Batch = cfg.Options.Batch
 	dopts.Pipeline = cfg.Options.Pipeline
-	if cfg.Options.PipelineDepth != 0 {
-		dopts.PipelineDepth = cfg.Options.PipelineDepth
-	}
 	dopts.Bcast = cfg.Options.Bcast
 	for i := 0; i < cfg.VUPMEMs; i++ {
 		id := fmt.Sprintf("%s/vupmem%d", cfg.Name, i)
@@ -245,8 +240,7 @@ func NewVM(mach *pim.Machine, mgr manager.RankManager, cfg Config) (*VM, error) 
 		back.SetOversubscribe(cfg.Options.Oversubscribe)
 		back.SetHostWorkers(vm.hostWorkers)
 		back.SetObs(reg, rec)
-		tq.SetHandler(back.HandleTransfer)
-		tq.SetWindowHandler(back.HandleWindow)
+		tq.SetHandler(back.HandleWindow)
 		cq.SetHandler(back.HandleControl)
 		front := driver.New(id, vm.mem, vm.path, tq, cq, model, dopts)
 		front.SetObs(reg, rec)
