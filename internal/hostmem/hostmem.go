@@ -2,24 +2,26 @@
 // physical address (GPA) to host virtual address (HVA) mapping that the vPIM
 // backend uses for zero-copy access to guest pages.
 //
-// Guest RAM is a flat GPA space backed lazily by per-allocation host
-// buffers, so a "128 GB" VM costs only what its applications actually
-// allocate. The VMM holds a page table mapping guest page frames to their
-// backing allocations; translation is a real lookup per page, which is the
-// work the backend parallelizes across translation threads (Section 4.2).
-// Zero-copy is structural: the backend obtains slices aliasing guest memory
-// rather than copies.
+// Guest RAM is a flat GPA space that a bump allocator hands out in
+// page-aligned extents, each backed by its own host buffer. The extents are
+// kept as one list sorted by GPA, so a "128 GB" VM costs only what its
+// applications actually allocate: nothing is sized by capacity. Translation
+// is a binary search of that list per page, which is the work the backend
+// parallelizes across translation threads (Section 4.2). Zero-copy is
+// structural: the backend obtains slices aliasing guest memory rather than
+// copies.
 //
-// The read path (Translate, Slice) is lock-free: the page table is an array
-// of atomically-published entries pointing into an atomically-swapped
-// allocation snapshot, so the backend's translation workers run concurrently
-// without contending on a mutex. Only allocation-path writers (Alloc,
-// FreeAll) serialize on the Memory mutex.
+// The read path (Translate, Slice) is lock-free: Alloc appends an extent
+// under the Memory mutex and then atomically publishes the longer list.
+// Memory is never freed, so a published prefix never changes, and readers
+// search whichever list they load without contending on the mutex.
 package hostmem
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -32,9 +34,9 @@ const PageSize = 4096
 
 // ZeroAllocGPA is the page-aligned sentinel address returned for zero-length
 // allocations. It lies outside any guest RAM (the top page of the 64-bit GPA
-// space), is never entered into the page table, and therefore fails
-// Translate/Slice with ErrBadAddress instead of silently aliasing the next
-// allocation's first page.
+// space), is never mapped, and therefore fails Translate/Slice with
+// ErrBadAddress instead of silently aliasing the next allocation's first
+// page.
 const ZeroAllocGPA = ^uint64(0) &^ (PageSize - 1)
 
 // Errors reported by the memory model.
@@ -44,47 +46,42 @@ var (
 	ErrNotTranslated = errors.New("hostmem: no GPA->HVA mapping for page")
 )
 
-// allocation is one guest buffer: startPage is its first guest page frame.
-type allocation struct {
-	startPage int64
-	data      []byte
+// extent is one allocation: the GPA of its first byte and its page-aligned
+// backing bytes.
+type extent struct {
+	gpa  uint64
+	data []byte
 }
 
-// Memory is one VM's guest RAM plus its GPA->HVA page table.
+// Memory is one VM's guest RAM plus its GPA->HVA mapping.
 type Memory struct {
-	// mu serializes writers (Alloc, FreeAll); readers never take it.
+	// mu serializes Alloc; readers never take it.
 	mu       sync.Mutex
 	capacity int64
 	next     int64
-	// table maps guest page frames to allocation indices (-1 = unmapped).
-	// Entries are published atomically after the allocs snapshot they index
-	// into, so a reader observing an index always finds its allocation.
-	table []atomic.Int32
-	// allocs is the copy-on-write allocation snapshot; writers swap in a new
-	// slice, readers load whatever is current.
-	allocs atomic.Pointer[[]allocation]
+	// extents is sorted by GPA and tiles [0, next) without gaps. Alloc
+	// writes only past the published length, so readers may search any
+	// published list while it grows.
+	extents atomic.Pointer[[]extent]
 
-	// cSwaps counts snapshot publications (nil-safe until SetObs).
+	// cSwaps counts published allocations (nil-safe until SetObs).
 	cSwaps *obs.Counter
 }
 
-// New creates guest RAM of the given capacity. Backing memory is committed
-// per allocation, mirroring how a freshly booted microVM's RAM is populated
-// on demand.
+// New creates guest RAM of size bytes, rounded up to whole pages (down where
+// rounding up would overflow); a negative size gives a memory with no room.
+// Backing memory is committed per allocation, mirroring how a freshly booted
+// microVM's RAM is populated on demand.
 func New(size int64) *Memory {
-	pages := (size + PageSize - 1) / PageSize
-	m := &Memory{capacity: pages * PageSize, table: make([]atomic.Int32, pages)}
-	for i := range m.table {
-		m.table[i].Store(-1)
-	}
-	empty := []allocation(nil)
-	m.allocs.Store(&empty)
+	size = min(max(size, 0), math.MaxInt64&^(PageSize-1))
+	m := &Memory{capacity: (size + PageSize - 1) &^ (PageSize - 1)}
+	m.extents.Store(new([]extent))
 	return m
 }
 
-// SetObs registers the memory's snapshot-swap counter
-// ("hostmem.snapshot.swaps") in reg, making the copy-on-write churn of the
-// translation fast path observable.
+// SetObs registers the memory's publication counter
+// ("hostmem.snapshot.swaps") in reg: one increment per allocation published
+// to the lock-free readers.
 func (m *Memory) SetObs(reg *obs.Registry) {
 	m.cSwaps = reg.Counter("hostmem.snapshot.swaps")
 }
@@ -127,65 +124,17 @@ func (m *Memory) Alloc(n int) (Buffer, error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	aligned := (int64(n) + PageSize - 1) / PageSize * PageSize
-	if m.next+aligned > m.capacity {
-		return Buffer{}, fmt.Errorf("%w: want %d, %d free", ErrOutOfMemory, n, m.capacity-m.next)
+	// The free space is page-aligned, so n fits exactly when its rounded
+	// size does; comparing first keeps the rounding from overflowing.
+	if free := m.capacity - m.next; int64(n) > free {
+		return Buffer{}, fmt.Errorf("%w: want %d, %d free", ErrOutOfMemory, n, free)
 	}
-	gpa := m.next
-	m.next += aligned
-	a := allocation{startPage: gpa / PageSize, data: make([]byte, aligned)}
-	old := *m.allocs.Load()
-	snapshot := make([]allocation, len(old)+1)
-	copy(snapshot, old)
-	idx := int32(len(old))
-	snapshot[idx] = a
-	// Publish the snapshot before the table entries that reference it: a
-	// reader that observes an index is then guaranteed to find the
-	// allocation in whatever snapshot it loads afterwards.
-	m.allocs.Store(&snapshot)
+	e := extent{gpa: uint64(m.next), data: make([]byte, (int64(n)+PageSize-1)&^(PageSize-1))}
+	m.next += int64(len(e.data))
+	extents := append(*m.extents.Load(), e)
+	m.extents.Store(&extents)
 	m.cSwaps.Inc()
-	for p := a.startPage; p < a.startPage+aligned/PageSize; p++ {
-		m.table[p].Store(idx)
-	}
-	return Buffer{GPA: uint64(gpa), Data: a.data[:n:aligned]}, nil
-}
-
-// FreeAll resets the allocator. Existing Buffers become dangling; it is
-// meant for reusing one VM across benchmark iterations.
-func (m *Memory) FreeAll() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.next = 0
-	for i := range m.table {
-		m.table[i].Store(-1)
-	}
-	empty := []allocation(nil)
-	m.allocs.Store(&empty)
-	m.cSwaps.Inc()
-}
-
-// lookup resolves the allocation covering [gpa, gpa+n) without locking.
-func (m *Memory) lookup(gpa uint64, n int) (allocation, error) {
-	page := int64(gpa / PageSize)
-	if n < 0 || page < 0 || page >= int64(len(m.table)) {
-		return allocation{}, fmt.Errorf("%w: GPA %#x len %d", ErrBadAddress, gpa, n)
-	}
-	idx := m.table[page].Load()
-	if idx < 0 {
-		return allocation{}, fmt.Errorf("%w: GPA %#x", ErrNotTranslated, gpa)
-	}
-	allocs := *m.allocs.Load()
-	if int(idx) >= len(allocs) {
-		// A racing FreeAll retired the snapshot between the table load and
-		// the allocs load; the page is gone.
-		return allocation{}, fmt.Errorf("%w: GPA %#x", ErrNotTranslated, gpa)
-	}
-	a := allocs[idx]
-	off := int64(gpa) - a.startPage*PageSize
-	if off < 0 || off+int64(n) > int64(len(a.data)) {
-		return allocation{}, fmt.Errorf("%w: GPA %#x len %d crosses allocation", ErrBadAddress, gpa, n)
-	}
-	return a, nil
+	return Buffer{GPA: e.gpa, Data: e.data[:n:len(e.data)]}, nil
 }
 
 // Translate maps one guest physical page address to the host slice backing
@@ -196,23 +145,26 @@ func (m *Memory) Translate(gpa uint64) ([]byte, error) {
 	if gpa%PageSize != 0 {
 		return nil, fmt.Errorf("%w: GPA %#x not page aligned", ErrBadAddress, gpa)
 	}
-	a, err := m.lookup(gpa, PageSize)
-	if err != nil {
-		return nil, err
-	}
-	off := int64(gpa) - a.startPage*PageSize
-	return a.data[off : off+PageSize : off+PageSize], nil
+	return m.Slice(gpa, PageSize)
 }
 
 // Slice returns the guest bytes [gpa, gpa+n) for direct (already
 // translated) access. Used by the frontend, which lives in the guest and
 // addresses its own RAM without translation; the range must lie within one
-// allocation.
+// allocation. Like Translate, Slice is lock-free.
 func (m *Memory) Slice(gpa uint64, n int) ([]byte, error) {
-	a, err := m.lookup(gpa, n)
-	if err != nil {
-		return nil, err
+	if n < 0 || gpa >= uint64(m.capacity) {
+		return nil, fmt.Errorf("%w: GPA %#x len %d", ErrBadAddress, gpa, n)
 	}
-	off := int64(gpa) - a.startPage*PageSize
-	return a.data[off : off+int64(n) : off+int64(n)], nil
+	extents := *m.extents.Load()
+	i := sort.Search(len(extents), func(i int) bool { return extents[i].gpa > gpa }) - 1
+	if i < 0 || gpa-extents[i].gpa >= uint64(len(extents[i].data)) {
+		return nil, fmt.Errorf("%w: GPA %#x", ErrNotTranslated, gpa)
+	}
+	e := extents[i]
+	off := gpa - e.gpa
+	if uint64(n) > uint64(len(e.data))-off {
+		return nil, fmt.Errorf("%w: GPA %#x len %d crosses allocation", ErrBadAddress, gpa, n)
+	}
+	return e.data[off : off+uint64(n) : off+uint64(n)], nil
 }

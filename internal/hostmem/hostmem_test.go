@@ -3,7 +3,10 @@ package hostmem
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +38,10 @@ func TestAllocExhaustion(t *testing.T) {
 	}
 	if _, err := m.Alloc(2 * PageSize); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("want ErrOutOfMemory, got %v", err)
+	}
+	// Rounding this request up to a page would overflow.
+	if _, err := m.Alloc(math.MaxInt); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("Alloc(MaxInt): want ErrOutOfMemory, got %v", err)
 	}
 }
 
@@ -130,20 +137,6 @@ func TestSliceWithinAllocation(t *testing.T) {
 	}
 }
 
-func TestFreeAll(t *testing.T) {
-	m := New(4 * PageSize)
-	if _, err := m.Alloc(4 * PageSize); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Alloc(PageSize); err == nil {
-		t.Fatal("expected exhaustion")
-	}
-	m.FreeAll()
-	if _, err := m.Alloc(4 * PageSize); err != nil {
-		t.Errorf("allocation after FreeAll failed: %v", err)
-	}
-}
-
 // Property: data written through a buffer is byte-identical when read back
 // page by page through Translate (the backend's view).
 func TestTranslateRoundTripProperty(t *testing.T) {
@@ -154,7 +147,7 @@ func TestTranslateRoundTripProperty(t *testing.T) {
 		}
 		buf, err := m.Alloc(len(data))
 		if err != nil {
-			m.FreeAll()
+			m = New(8 << 20)
 			buf, err = m.Alloc(len(data))
 			if err != nil {
 				return false
@@ -180,6 +173,17 @@ func TestSize(t *testing.T) {
 	m := New(1000) // rounds up to a page
 	if m.Size() != PageSize {
 		t.Errorf("Size = %d, want %d", m.Size(), PageSize)
+	}
+	empty := New(-1 << 20)
+	if empty.Size() != 0 {
+		t.Errorf("New(-1 MiB).Size = %d, want 0", empty.Size())
+	}
+	if _, err := empty.Alloc(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("Alloc in a negative-size memory: want ErrOutOfMemory, got %v", err)
+	}
+	// Rounding the largest size up to a page would overflow.
+	if got, want := New(math.MaxInt64).Size(), int64(math.MaxInt64&^(PageSize-1)); got != want {
+		t.Errorf("New(MaxInt64).Size = %d, want %d", got, want)
 	}
 }
 
@@ -217,8 +221,10 @@ func TestAllocZeroSentinel(t *testing.T) {
 
 // TestTranslateConcurrent hammers the lock-free read path from many
 // goroutines while a writer keeps allocating — the exact interleaving the
-// backend worker pool produces. Run under -race this is the proof the
-// snapshot-publication ordering is sound.
+// backend worker pool produces. Readers translate a seed allocation and the
+// one the writer returned most recently, whose extent Alloc appended past
+// the length earlier readers loaded. Run under -race this is the proof the
+// publication ordering is sound.
 func TestTranslateConcurrent(t *testing.T) {
 	m := New(64 << 20)
 	seed, err := m.Alloc(8 * PageSize)
@@ -228,6 +234,8 @@ func TestTranslateConcurrent(t *testing.T) {
 	for i := range seed.Data {
 		seed.Data[i] = byte(i)
 	}
+	var latest atomic.Pointer[Buffer]
+	latest.Store(&seed)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 8; w++ {
@@ -240,31 +248,39 @@ func TestTranslateConcurrent(t *testing.T) {
 					return
 				default:
 				}
-				for _, gpa := range seed.Pages() {
-					page, err := m.Translate(gpa)
-					if err != nil {
-						t.Errorf("Translate(%#x): %v", gpa, err)
-						return
-					}
-					if page[1] != 1 {
-						t.Errorf("Translate(%#x) returned foreign bytes", gpa)
-						return
+				for _, buf := range []*Buffer{&seed, latest.Load()} {
+					for _, gpa := range buf.Pages() {
+						page, err := m.Translate(gpa)
+						if err != nil {
+							t.Errorf("Translate(%#x): %v", gpa, err)
+							return
+						}
+						if page[1] != 1 {
+							t.Errorf("Translate(%#x) returned foreign bytes", gpa)
+							return
+						}
 					}
 				}
 			}
 		}()
 	}
-	for i := 0; i < 200; i++ {
-		if _, err := m.Alloc(PageSize); err != nil {
+	for i := 0; i < 1000; i++ {
+		buf, err := m.Alloc((i%3 + 1) * PageSize)
+		if err != nil {
+			t.Errorf("Alloc %d: %v", i, err)
 			break
 		}
+		for off := 1; off < len(buf.Data); off += PageSize {
+			buf.Data[off] = 1
+		}
+		latest.Store(&buf)
 	}
 	close(stop)
 	wg.Wait()
 }
 
 // TestSnapshotSwapCounter verifies hostmem.snapshot.swaps counts every
-// copy-on-write publication (one per Alloc, one per FreeAll).
+// published allocation (one per non-empty Alloc).
 func TestSnapshotSwapCounter(t *testing.T) {
 	m := New(1 << 20)
 	reg := obs.NewRegistry()
@@ -278,8 +294,112 @@ func TestSnapshotSwapCounter(t *testing.T) {
 	if _, err := m.Alloc(3 * PageSize); err != nil {
 		t.Fatal(err)
 	}
-	m.FreeAll()
-	if got := reg.Counter("hostmem.snapshot.swaps").Load(); got != 3 {
-		t.Errorf("hostmem.snapshot.swaps = %d, want 3 (two allocs + FreeAll)", got)
+	if got := reg.Counter("hostmem.snapshot.swaps").Load(); got != 2 {
+		t.Errorf("hostmem.snapshot.swaps = %d, want 2 (two allocs)", got)
+	}
+}
+
+// TestLookupMatchesPageModel checks Translate and Slice against a per-page
+// reference model: a map from every guest page to the Buffer that owns it,
+// built from what Alloc returned. Random allocation sequences mix
+// zero-length, sub-page and multi-page sizes. The probes cover every page
+// of guest RAM and two past it, unaligned addresses, the zero-length
+// sentinel, the first byte past the bump pointer, and Slices that end
+// exactly at an allocation's end or cross into the next one. Error classes
+// must match, and every success must alias the owning Buffer's bytes.
+func TestLookupMatchesPageModel(t *testing.T) {
+	roundUp := func(n int) uint64 { return (uint64(n) + PageSize - 1) &^ (PageSize - 1) }
+	sizes := []int{0, 1, PageSize - 1, PageSize, PageSize + 1, 3 * PageSize}
+	for trial := 0; trial < 100; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		m := New(int64(rng.Intn(24*PageSize)) + 1)
+		owner := map[uint64]Buffer{} // page GPA -> allocation covering it
+		var bufs []Buffer
+		var bump uint64
+		for i := 0; i < trial%12; i++ {
+			n := rng.Intn(6 * PageSize)
+			if rng.Intn(2) == 0 {
+				n = sizes[rng.Intn(len(sizes))]
+			}
+			buf, err := m.Alloc(n)
+			if errors.Is(err, ErrOutOfMemory) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d: Alloc(%d): %v", trial, n, err)
+			}
+			if n == 0 {
+				continue // the sentinel maps no page
+			}
+			bufs = append(bufs, buf)
+			bump = buf.GPA + roundUp(n)
+			for p := buf.GPA; p < bump; p += PageSize {
+				owner[p] = buf
+			}
+		}
+
+		check := func(op string, gpa uint64, n int, got []byte, err error) {
+			t.Helper()
+			var want error
+			buf, mapped := owner[gpa&^(PageSize-1)]
+			off := gpa - buf.GPA
+			switch {
+			case n < 0 || gpa >= uint64(m.Size()):
+				want = ErrBadAddress
+			case !mapped:
+				want = ErrNotTranslated
+			case off+uint64(n) > roundUp(len(buf.Data)):
+				want = ErrBadAddress
+			}
+			switch {
+			case want != nil:
+				if !errors.Is(err, want) {
+					t.Errorf("trial %d: %s(%#x, %d) error = %v, want %v", trial, op, gpa, n, err, want)
+				}
+			case err != nil:
+				t.Errorf("trial %d: %s(%#x, %d): %v", trial, op, gpa, n, err)
+			case len(got) != n:
+				t.Errorf("trial %d: %s(%#x, %d) returned %d bytes", trial, op, gpa, n, len(got))
+			case n > 0 && &got[0] != &buf.Data[:cap(buf.Data)][off]:
+				t.Errorf("trial %d: %s(%#x, %d) does not alias the allocation at %#x", trial, op, gpa, n, buf.GPA)
+			}
+		}
+		translate := func(gpa uint64) {
+			t.Helper()
+			got, err := m.Translate(gpa)
+			if gpa%PageSize != 0 {
+				if !errors.Is(err, ErrBadAddress) {
+					t.Errorf("trial %d: Translate(%#x) unaligned: error = %v, want ErrBadAddress", trial, gpa, err)
+				}
+				return
+			}
+			check("Translate", gpa, PageSize, got, err)
+		}
+		slice := func(gpa uint64, n int) {
+			t.Helper()
+			got, err := m.Slice(gpa, n)
+			check("Slice", gpa, n, got, err)
+		}
+
+		for gpa := uint64(0); gpa < uint64(m.Size())+2*PageSize; gpa += PageSize {
+			translate(gpa)
+			translate(gpa + 1)
+			translate(gpa + PageSize - 1)
+			slice(gpa, 0)
+			slice(gpa+PageSize-1, 1)
+			slice(gpa+PageSize-1, 2)
+		}
+		for _, gpa := range []uint64{ZeroAllocGPA, bump, 1 << 63, ^uint64(0)} {
+			translate(gpa)
+			slice(gpa, 1)
+		}
+		for _, buf := range bufs {
+			end := int(roundUp(len(buf.Data)))
+			slice(buf.GPA, end)
+			slice(buf.GPA, end+1)
+			slice(buf.GPA+1, end-1)
+			slice(buf.GPA+1, end)
+			slice(buf.GPA, -1)
+		}
 	}
 }

@@ -2,8 +2,10 @@ package native_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/hostmem"
 	"repro/internal/manager"
 	"repro/internal/native"
 	"repro/internal/pim"
@@ -131,4 +133,19 @@ func TestNativeFreeReturnsRanks(t *testing.T) {
 		t.Fatalf("re-alloc after free: %v", err)
 	}
 	_ = set2.Free()
+}
+
+// TestNativeNegativeRAM: a negative RAM size gives an environment with no
+// room for buffers rather than a panic while sizing guest memory.
+func TestNativeNegativeRAM(t *testing.T) {
+	mach, err := pim.NewMachine(pim.MachineConfig{Ranks: 1, Rank: pim.RankConfig{DPUs: 4, MRAMBytes: 1 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ram := range []int64{-1, -1 << 20} {
+		env := native.NewEnv(mach, manager.New(mach, manager.Options{}), ram)
+		if _, err := env.AllocBuffer(1); !errors.Is(err, hostmem.ErrOutOfMemory) {
+			t.Errorf("RAM %d: AllocBuffer(1): want ErrOutOfMemory, got %v", ram, err)
+		}
+	}
 }

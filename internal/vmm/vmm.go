@@ -184,6 +184,9 @@ var _ sdk.Env = (*VM)(nil)
 // Each vUPMEM adds its (<=2 ms) boot-time overhead (Section 3.2).
 func NewVM(mach *pim.Machine, mgr manager.RankManager, cfg Config) (*VM, error) {
 	cfg = cfg.withDefaults()
+	if cfg.MemBytes < 0 {
+		return nil, fmt.Errorf("vmm: negative guest RAM size %d", cfg.MemBytes)
+	}
 	if cfg.VUPMEMs > mach.NumRanks() && !cfg.Options.Oversubscribe {
 		return nil, fmt.Errorf("vmm: %d vUPMEM devices exceed %d physical ranks",
 			cfg.VUPMEMs, mach.NumRanks())

@@ -3,6 +3,7 @@ package vmm
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 	"repro/internal/sdk"
 )
 
-func testStack(t *testing.T, ranks int) (*pim.Machine, *manager.Manager) {
+func testStack(t testing.TB, ranks int) (*pim.Machine, *manager.Manager) {
 	t.Helper()
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: ranks,
@@ -75,6 +76,55 @@ func TestBootTime(t *testing.T) {
 	}
 	if vm.BootTime() <= 0 {
 		t.Error("boot must consume time")
+	}
+}
+
+// TestBootCostIndependentOfGuestRAM: guest RAM commits per allocation, so a
+// 128 GiB VM boots with the same host allocations as a 256 MiB one. It
+// reads the heap's cumulative allocation, the quantity a benchmark reports
+// as B/op, over a fixed number of boots.
+func TestBootCostIndependentOfGuestRAM(t *testing.T) {
+	mach, mgr := testStack(t, 1)
+	bytesPerBoot := func(memBytes int64) int64 {
+		const boots = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < boots; i++ {
+			if _, err := NewVM(mach, mgr, Config{Name: "boot", MemBytes: memBytes}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc-before.TotalAlloc) / boots
+	}
+	small, huge := bytesPerBoot(256<<20), bytesPerBoot(128<<30)
+	if d := huge - small; d > 64<<10 || d < -64<<10 {
+		t.Errorf("boot allocates %d B at 128 GiB and %d B at 256 MiB; want within 64 KiB", huge, small)
+	}
+}
+
+// BenchmarkNewVMGuestRAM times one VM boot per guest RAM size.
+func BenchmarkNewVMGuestRAM(b *testing.B) {
+	mach, mgr := testStack(b, 1)
+	for _, size := range []struct {
+		name  string
+		bytes int64
+	}{{"256MiB", 256 << 20}, {"4GiB", 4 << 30}, {"128GiB", 128 << 30}} {
+		b.Run(size.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewVM(mach, mgr, Config{Name: "boot", MemBytes: size.bytes}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func TestNegativeGuestRAM(t *testing.T) {
+	mach, mgr := testStack(t, 1)
+	if _, err := NewVM(mach, mgr, Config{MemBytes: -1 << 20}); err == nil {
+		t.Error("negative guest RAM must fail")
 	}
 }
 
