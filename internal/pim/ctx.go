@@ -3,12 +3,11 @@ package pim
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
-	"sync/atomic"
 )
 
-// runState is the shared per-DPU state of one Launch: cycle/DMA accounting,
-// the WRAM allocator, the barrier and the intra-DPU mutex.
+// runState is the per-DPU state of one Launch: cycle and DMA accounting,
+// the WRAM allocator, the intra-DPU mutex and the tasklets' turns. Only the
+// tasklet whose turn it is touches it, so it needs no locks.
 type runState struct {
 	rank   *Rank
 	dpu    int
@@ -17,50 +16,31 @@ type runState struct {
 	// instr accumulates executed instructions across all tasklets. The DPU
 	// pipeline dispatches one instruction per cycle when >= 11 tasklets are
 	// resident, so the aggregate count is what determines execution time
-	// (see launchDuration); the per-tasklet breakdown is irrelevant.
-	instr atomic.Int64
+	// (see worker.run); the per-tasklet breakdown is irrelevant.
+	instr int64
 	// dmaNanos accumulates MRAM<->WRAM DMA time; the DMA engine is shared,
 	// so transfers serialize.
-	dmaNanos atomic.Int64
+	dmaNanos int64
 
-	wramMu   sync.Mutex
 	wramUsed int
 	shared   map[string][]byte
 
-	barrier *barrier
-	dpuMu   sync.Mutex
-}
+	// locked and holder are the DPU mutex and the tasklet holding it.
+	locked bool
+	holder int
 
-// barrier is a cyclic barrier for the kernel's tasklets (BARRIER_INIT /
-// barrier_wait in the UPMEM runtime).
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	parties int
-	waiting int
-	phase   int
-}
-
-func newBarrier(parties int) *barrier {
-	b := &barrier{parties: parties}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	phase := b.phase
-	b.waiting++
-	if b.waiting == b.parties {
-		b.waiting = 0
-		b.phase++
-		b.cond.Broadcast()
-		return
-	}
-	for b.phase == phase {
-		b.cond.Wait()
-	}
+	// tasklets are the DPU's tasklets in id order; done wakes the worker
+	// when the last turn ends.
+	tasklets []*Ctx
+	done     chan struct{}
+	// arrived counts the tasklets waiting at the current barrier, returned
+	// those whose Run has returned.
+	arrived  int
+	returned int
+	// errs collects the tasklets' errors in id order; fault records why the
+	// tasklets can no longer proceed (ErrDeadlock).
+	errs  []error
+	fault error
 }
 
 // Ctx is the execution context of one tasklet: the DPU-side API a kernel
@@ -71,7 +51,21 @@ func (b *barrier) wait() {
 type Ctx struct {
 	st *runState
 	id int
+	// wake hands this tasklet its turn (true) or unwinds it (false) when
+	// it waits in Barrier; an idle tasklet goroutine starts on true and
+	// exits once wake is closed.
+	wake  chan bool
+	state taskletState
 }
+
+// taskletState tracks a tasklet through one DPU's run.
+type taskletState uint8
+
+const (
+	notStarted taskletState = iota
+	started
+	finished
+)
 
 // Me reports the tasklet id (the UPMEM me() intrinsic).
 func (c *Ctx) Me() int { return c.id }
@@ -90,7 +84,7 @@ func (c *Ctx) MRAMBytes() int64 { return c.st.rank.cfg.MRAMBytes }
 // aggregate into cycles.
 func (c *Ctx) Tick(n int64) {
 	if n > 0 {
-		c.st.instr.Add(n)
+		c.st.instr += n
 	}
 }
 
@@ -101,8 +95,6 @@ func (c *Ctx) Alloc(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("pim: negative WRAM allocation %d", n)
 	}
-	c.st.wramMu.Lock()
-	defer c.st.wramMu.Unlock()
 	if c.st.wramUsed+n > WRAMBytes {
 		return nil, fmt.Errorf("%w: used %d, requested %d", ErrWRAMOverflow, c.st.wramUsed, n)
 	}
@@ -113,8 +105,6 @@ func (c *Ctx) Alloc(n int) ([]byte, error) {
 // ResetHeap resets the WRAM allocator (mem_reset). Kernels conventionally
 // have tasklet 0 call it before the first barrier.
 func (c *Ctx) ResetHeap() {
-	c.st.wramMu.Lock()
-	defer c.st.wramMu.Unlock()
 	c.st.wramUsed = 0
 	c.st.shared = nil
 }
@@ -124,8 +114,6 @@ func (c *Ctx) ResetHeap() {
 // on first use. Every tasklet receives the same backing slice; accesses to
 // it must be synchronized with Barrier or Lock like on real hardware.
 func (c *Ctx) Shared(name string, n int) ([]byte, error) {
-	c.st.wramMu.Lock()
-	defer c.st.wramMu.Unlock()
 	if buf, ok := c.st.shared[name]; ok {
 		if len(buf) != n {
 			return nil, fmt.Errorf("pim: shared buffer %q is %d bytes, requested %d", name, len(buf), n)
@@ -167,7 +155,7 @@ func (c *Ctx) MRAMRead(off int64, dst []byte) error {
 	if err := c.st.rank.ReadDPU(c.st.dpu, off, dst); err != nil {
 		return err
 	}
-	c.st.dmaNanos.Add(int64(c.st.rank.model.MRAMTransfer(len(dst))))
+	c.st.dmaNanos += int64(c.st.rank.model.MRAMTransfer(len(dst)))
 	return nil
 }
 
@@ -179,20 +167,38 @@ func (c *Ctx) MRAMWrite(src []byte, off int64) error {
 	if err := c.st.rank.WriteDPU(c.st.dpu, off, src); err != nil {
 		return err
 	}
-	c.st.dmaNanos.Add(int64(c.st.rank.model.MRAMTransfer(len(src))))
+	c.st.dmaNanos += int64(c.st.rank.model.MRAMTransfer(len(src)))
 	return nil
 }
 
 // Barrier blocks until every tasklet of the kernel has reached it
-// (barrier_wait on the kernel's barrier).
-func (c *Ctx) Barrier() { c.st.barrier.wait() }
+// (barrier_wait on the kernel's barrier). It ends the tasklet's turn: the
+// next tasklet in id order takes over, and after the last one tasklet 0
+// resumes. If a tasklet has returned, the barrier can never complete and
+// the DPU fails with ErrDeadlock.
+func (c *Ctx) Barrier() {
+	c.st.arrived++
+	c.st.pass(c.id)
+	if !<-c.wake {
+		panic(unwind{})
+	}
+}
 
 // Lock acquires the DPU-wide mutex (the UPMEM mutex primitive kernels use to
-// guard shared host variables).
-func (c *Ctx) Lock() { c.st.dpuMu.Lock() }
+// guard shared host variables). Tasklets switch only at barriers, so the
+// mutex is free unless another tasklet holds it across a barrier or
+// returned holding it; taking it then fails the DPU with ErrDeadlock.
+func (c *Ctx) Lock() {
+	st := c.st
+	if st.locked {
+		st.fault = fmt.Errorf("%w: tasklet %d locks the mutex tasklet %d still holds", ErrDeadlock, c.id, st.holder)
+		panic(unwind{})
+	}
+	st.locked, st.holder = true, c.id
+}
 
 // Unlock releases the DPU-wide mutex.
-func (c *Ctx) Unlock() { c.st.dpuMu.Unlock() }
+func (c *Ctx) Unlock() { c.st.locked = false }
 
 // HostU32 reads host symbol name as a little-endian uint32.
 func (c *Ctx) HostU32(name string) (uint32, error) {

@@ -60,5 +60,6 @@ var (
 	ErrNoSymbol         = errors.New("pim: unknown host symbol")
 	ErrBadDPU           = errors.New("pim: DPU index out of range")
 	ErrBusy             = errors.New("pim: rank is busy")
+	ErrDeadlock         = errors.New("pim: tasklets deadlocked")
 	ErrTransferTooLarge = errors.New("pim: rank operation exceeds 4 GB")
 )

@@ -66,6 +66,9 @@ type dpuState struct {
 // been written, so machines with many 64 MB-per-DPU ranks fit in laptop RAM.
 const physChunkBytes = 1 << 20
 
+// physChunk is one committed chunk of a rank's physical storage.
+type physChunk = [physChunkBytes]byte
+
 // Rank models one UPMEM rank: the interleaved physical storage backing all
 // DPU MRAM banks, the per-DPU program state, and the control interface.
 type Rank struct {
@@ -75,10 +78,10 @@ type Rank struct {
 
 	// chunks lazily back the rank's physical byte array. Logical MRAM byte
 	// i of DPU d lives at physical offset interleave(d, i); see
-	// (*Rank).physRange. Chunk allocation is guarded by physMu; reads of
-	// never-written chunks observe zeros without allocating.
-	physMu sync.Mutex
-	chunks [][]byte
+	// (*Rank).physRange. The first write to a chunk commits it by
+	// compare-and-swap, so DMAs of concurrently running DPUs take no lock;
+	// reads of never-written chunks observe zeros without allocating.
+	chunks []atomic.Pointer[physChunk]
 
 	dpus []dpuState
 	ci   CIStats
@@ -94,7 +97,7 @@ func NewRank(index int, cfg RankConfig, model cost.Model) *Rank {
 		cfg:    cfg,
 		index:  index,
 		model:  model,
-		chunks: make([][]byte, nChunks),
+		chunks: make([]atomic.Pointer[physChunk], nChunks),
 		dpus:   make([]dpuState, cfg.DPUs),
 	}
 }
@@ -102,14 +105,13 @@ func NewRank(index int, cfg RankConfig, model cost.Model) *Rank {
 // physWrite returns a writable slice for physical bytes [off, off+n), which
 // must not cross a chunk boundary; the chunk is committed on first write.
 func (r *Rank) physWrite(off int64, n int64) []byte {
-	idx := off / physChunkBytes
-	r.physMu.Lock()
-	chunk := r.chunks[idx]
-	if chunk == nil {
-		chunk = make([]byte, physChunkBytes)
-		r.chunks[idx] = chunk
+	p := &r.chunks[off/physChunkBytes]
+	chunk := p.Load()
+	for chunk == nil {
+		// Racing first writers each offer a zeroed chunk; one of them wins.
+		p.CompareAndSwap(nil, new(physChunk))
+		chunk = p.Load()
 	}
-	r.physMu.Unlock()
 	in := off % physChunkBytes
 	return chunk[in : in+n]
 }
@@ -117,10 +119,7 @@ func (r *Rank) physWrite(off int64, n int64) []byte {
 // physRead returns a read-only slice for physical bytes [off, off+n), or
 // nil when the chunk has never been written (all zeros).
 func (r *Rank) physRead(off int64, n int64) []byte {
-	idx := off / physChunkBytes
-	r.physMu.Lock()
-	chunk := r.chunks[idx]
-	r.physMu.Unlock()
+	chunk := r.chunks[off/physChunkBytes].Load()
 	if chunk == nil {
 		return nil
 	}
@@ -301,9 +300,9 @@ func (r *Rank) symbol(d int, name string, off, n int) ([]byte, error) {
 // Reset zeroes the rank's entire physical memory and clears loaded programs.
 // The manager calls this between tenants (NANA -> NAAV transition).
 func (r *Rank) Reset() {
-	r.physMu.Lock()
-	clear(r.chunks) // drop all committed chunks: everything reads as zero
-	r.physMu.Unlock()
+	for i := range r.chunks {
+		r.chunks[i].Store(nil) // drop the chunk: it reads as zero
+	}
 	for d := range r.dpus {
 		st := &r.dpus[d]
 		st.mu.Lock()

@@ -15,7 +15,7 @@ import (
 type Snapshot struct {
 	dpus      int
 	mramBytes int64
-	chunks    [][]byte
+	chunks    []*physChunk
 	programs  []*Kernel
 	symbols   []map[string][]byte
 }
@@ -31,9 +31,21 @@ func (s *Snapshot) MRAMBytes() int64 { return s.mramBytes }
 func (s *Snapshot) CommittedBytes() int64 {
 	var n int64
 	for _, c := range s.chunks {
-		n += int64(len(c))
+		if c != nil {
+			n += physChunkBytes
+		}
 	}
 	return n
+}
+
+// cloneChunk copies a committed chunk, or returns nil for an uncommitted
+// one. append allocates without zeroing the bytes it then overwrites,
+// unlike new followed by copy.
+func cloneChunk(c *physChunk) *physChunk {
+	if c == nil {
+		return nil
+	}
+	return (*physChunk)(append([]byte(nil), c[:]...))
 }
 
 // Checkpoint captures the rank's state. The rank must be idle (no launch in
@@ -51,14 +63,10 @@ func (r *Rank) Checkpoint() (*Snapshot, time.Duration, error) {
 		symbols:   make([]map[string][]byte, r.cfg.DPUs),
 		programs:  make([]*Kernel, r.cfg.DPUs),
 	}
-	r.physMu.Lock()
-	snap.chunks = make([][]byte, len(r.chunks))
-	for i, c := range r.chunks {
-		if c != nil {
-			snap.chunks[i] = append([]byte(nil), c...)
-		}
+	snap.chunks = make([]*physChunk, len(r.chunks))
+	for i := range r.chunks {
+		snap.chunks[i] = cloneChunk(r.chunks[i].Load())
 	}
-	r.physMu.Unlock()
 	for d := range r.dpus {
 		st := &r.dpus[d]
 		st.mu.Lock()
@@ -87,14 +95,9 @@ func (r *Rank) Restore(snap *Snapshot) (time.Duration, error) {
 	}
 	defer r.busy.Store(false)
 
-	r.physMu.Lock()
-	r.chunks = make([][]byte, len(snap.chunks))
 	for i, c := range snap.chunks {
-		if c != nil {
-			r.chunks[i] = append([]byte(nil), c...)
-		}
+		r.chunks[i].Store(cloneChunk(c))
 	}
-	r.physMu.Unlock()
 	for d := range r.dpus {
 		st := &r.dpus[d]
 		st.mu.Lock()

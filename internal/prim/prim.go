@@ -17,7 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/hostmem"
 	"repro/internal/sdk"
@@ -223,6 +223,6 @@ func sortedU32(r *rand.Rand, n int) []uint32 {
 	for i := range vals {
 		vals[i] = uint32(r.Intn(1 << 30))
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
+	slices.Sort(vals)
 	return vals
 }

@@ -2,15 +2,19 @@ package vmm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cost"
+	"repro/internal/hostmem"
 	"repro/internal/manager"
 	"repro/internal/pim"
 	"repro/internal/sdk"
+	"repro/internal/upmem"
 )
 
 func testStack(t testing.TB, ranks int) (*pim.Machine, *manager.Manager) {
@@ -197,20 +201,24 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("symbol round trip = %v", sym)
 	}
 
-	out, err := vm.AllocBuffer(len(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d := 0; d < 8; d++ {
-		if err := set.PrepareXfer(d, out); err != nil {
+	// One buffer per DPU: the two ranks' reads run concurrently, so DPUs
+	// sharing a destination buffer would race on its bytes.
+	outs := make([]hostmem.Buffer, 8)
+	for d := range outs {
+		if outs[d], err = vm.AllocBuffer(len(data)); err != nil {
+			t.Fatal(err)
+		}
+		if err := set.PrepareXfer(d, outs[d]); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := set.PushXfer(sdk.FromDPU, 0, len(data)); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Data[:len(data)], data) {
-		t.Error("read-from-rank returned wrong data")
+	for d, out := range outs {
+		if !bytes.Equal(out.Data[:len(data)], data) {
+			t.Errorf("read-from-rank returned wrong data for dpu %d", d)
+		}
 	}
 
 	if err := set.Free(); err != nil {
@@ -384,5 +392,53 @@ func TestAllocSetFailureReleasesRanks(t *testing.T) {
 	// The unwound capacity must be immediately bookable again.
 	if _, err := vm.AllocSet(8); err != nil {
 		t.Fatalf("retry after failed booking: %v", err)
+	}
+}
+
+// TestGuestLaunchDeadlockFails: a guest sets the checksum length 64 words
+// past its 1 MiB banks, so each DPU's last tasklet fails its MRAM read while
+// the other fifteen wait at the second barrier. The launch must fail with
+// an error naming a DPU instead of hanging with the rank busy, and the rank
+// must go back to the manager and serve the next tenant.
+func TestGuestLaunchDeadlockFails(t *testing.T) {
+	mach, mgr := testStack(t, 1)
+	if err := upmem.Register(mach.Registry()); err != nil {
+		t.Fatal(err)
+	}
+	vm, err := NewVM(mach, mgr, Config{Name: "hostile", Options: Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := vm.AllocSet(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Load("upmem/checksum"); err != nil {
+		t.Fatal(err)
+	}
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], 1<<20/4+64)
+	if err := set.BroadcastSym("ck_n", 0, n[:]); err != nil {
+		t.Fatal(err)
+	}
+	launched := make(chan error, 1)
+	go func() { launched <- set.Launch() }()
+	select {
+	case err = <-launched:
+	case <-time.After(10 * time.Second):
+		t.Fatal("guest launch did not return within 10s")
+	}
+	if err == nil || !strings.Contains(err.Error(), "dpu 0: ") || !strings.Contains(err.Error(), "deadlocked") {
+		t.Fatalf("launch = %v, want a deadlock naming dpu 0", err)
+	}
+	if err := set.Free(); err != nil {
+		t.Fatalf("free after the failed launch: %v", err)
+	}
+	other, err := NewVM(mach, mgr, Config{Name: "next", Options: Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := upmem.RunChecksum(other, upmem.ChecksumParams{DPUs: 4, BytesPerDPU: 64 << 10}); err != nil {
+		t.Fatalf("next tenant on the rank: %v", err)
 	}
 }
