@@ -12,15 +12,21 @@
 // copies.
 //
 // The read path (Translate, Slice) is lock-free: Alloc appends an extent
-// under the Memory mutex and then atomically publishes the longer list.
-// Memory is never freed, so a published prefix never changes, and readers
-// search whichever list they load without contending on the mutex.
+// under the Memory mutex and then atomically publishes the longer list, and
+// Free publishes a fresh list without the freed extent. A published list
+// never changes, so readers search whichever list they load without
+// contending on the mutex. Freeing the highest allocation moves the bump
+// pointer back to the end of the new highest one, so memory freed in LIFO
+// order, as an application frees its per-run buffers, is reused; a hole
+// below the highest allocation is not.
 package hostmem
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,13 +61,15 @@ type extent struct {
 
 // Memory is one VM's guest RAM plus its GPA->HVA mapping.
 type Memory struct {
-	// mu serializes Alloc; readers never take it.
+	// mu serializes Alloc and Free; readers never take it.
 	mu       sync.Mutex
 	capacity int64
-	next     int64
-	// extents is sorted by GPA and tiles [0, next) without gaps. Alloc
-	// writes only past the published length, so readers may search any
-	// published list while it grows.
+	// next is the bump pointer: the end of the highest extent, or 0.
+	next int64
+	// extents is sorted by GPA; the gaps between extents are freed
+	// allocations. Alloc writes only past the published length, and Free
+	// publishes a new backing array, so readers may search any published
+	// list while it changes.
 	extents atomic.Pointer[[]extent]
 
 	// cSwaps counts published allocations (nil-safe until SetObs).
@@ -135,6 +143,36 @@ func (m *Memory) Alloc(n int) (Buffer, error) {
 	m.extents.Store(&extents)
 	m.cSwaps.Inc()
 	return Buffer{GPA: e.gpa, Data: e.data[:n:len(e.data)]}, nil
+}
+
+// Free releases the allocation whose first byte is at gpa (a Buffer's GPA
+// as Alloc returned it); its pages then fail Translate and Slice with
+// ErrNotTranslated. Freeing the zero-length sentinel does nothing. Any other
+// GPA that does not start a live allocation, one already freed included,
+// fails with ErrBadAddress. Freeing the highest allocation moves the bump
+// pointer back to the end of the new highest one.
+func (m *Memory) Free(gpa uint64) error {
+	if gpa == ZeroAllocGPA {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	old := *m.extents.Load()
+	i, ok := slices.BinarySearchFunc(old, gpa, func(e extent, gpa uint64) int { return cmp.Compare(e.gpa, gpa) })
+	if !ok {
+		return fmt.Errorf("%w: free of GPA %#x: no allocation starts there", ErrBadAddress, gpa)
+	}
+	// A fresh backing array: readers may still be searching old.
+	extents := slices.Concat(old[:i], old[i+1:])
+	if i == len(old)-1 { // the highest extent: rewind the bump pointer
+		m.next = 0
+		if i > 0 {
+			top := extents[i-1]
+			m.next = int64(top.gpa) + int64(len(top.data))
+		}
+	}
+	m.extents.Store(&extents)
+	return nil
 }
 
 // Translate maps one guest physical page address to the host slice backing

@@ -220,11 +220,14 @@ func TestAllocZeroSentinel(t *testing.T) {
 }
 
 // TestTranslateConcurrent hammers the lock-free read path from many
-// goroutines while a writer keeps allocating — the exact interleaving the
-// backend worker pool produces. Readers translate a seed allocation and the
-// one the writer returned most recently, whose extent Alloc appended past
-// the length earlier readers loaded. Run under -race this is the proof the
-// publication ordering is sound.
+// goroutines while a writer keeps allocating and freeing — the exact
+// interleaving the backend worker pool produces. Readers translate a seed
+// allocation and the one the writer returned most recently, whose extent
+// Alloc appended past the length earlier readers loaded. Around every
+// fourth such allocation the writer frees one buffer below it (a hole) and
+// one above it (a rewind the next allocation reuses), so readers search
+// lists that Free published. Run under -race this is the proof the publication
+// ordering is sound.
 func TestTranslateConcurrent(t *testing.T) {
 	m := New(64 << 20)
 	seed, err := m.Alloc(8 * PageSize)
@@ -265,6 +268,14 @@ func TestTranslateConcurrent(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 1000; i++ {
+		frees := i%4 == 0
+		var hole Buffer
+		if frees {
+			if hole, err = m.Alloc(PageSize); err != nil {
+				t.Errorf("Alloc %d: %v", i, err)
+				break
+			}
+		}
 		buf, err := m.Alloc((i%3 + 1) * PageSize)
 		if err != nil {
 			t.Errorf("Alloc %d: %v", i, err)
@@ -274,9 +285,103 @@ func TestTranslateConcurrent(t *testing.T) {
 			buf.Data[off] = 1
 		}
 		latest.Store(&buf)
+		if !frees {
+			continue
+		}
+		top, err := m.Alloc(PageSize)
+		if err != nil {
+			t.Errorf("Alloc %d: %v", i, err)
+			break
+		}
+		if err := m.Free(top.GPA); err != nil {
+			t.Errorf("Free %d (top): %v", i, err)
+		}
+		if err := m.Free(hole.GPA); err != nil {
+			t.Errorf("Free %d (hole): %v", i, err)
+		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestFree pins Free's contract: freed pages fail with ErrNotTranslated, an
+// unknown or already-freed GPA fails, freeing the highest allocation
+// rewinds the bump pointer (so LIFO alloc/free reuses guest RAM) while a
+// hole below it is not reused, and only allocations count as publications.
+func TestFree(t *testing.T) {
+	m := New(4 * PageSize)
+	reg := obs.NewRegistry()
+	m.SetObs(reg)
+	a, err := m.Alloc(PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.Alloc(2 * PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gpa := range []uint64{a.GPA + 1, b.GPA + PageSize, 3 * PageSize, 1 << 40} {
+		if err := m.Free(gpa); !errors.Is(err, ErrBadAddress) {
+			t.Errorf("Free(%#x) of no allocation: want ErrBadAddress, got %v", gpa, err)
+		}
+	}
+	if err := m.Free(ZeroAllocGPA); err != nil {
+		t.Errorf("Free(sentinel): %v", err)
+	}
+
+	// LIFO: the whole of guest RAM is reusable, any number of times.
+	for i := 0; i < 10; i++ {
+		if err := m.Free(b.GPA); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Free(b.GPA); !errors.Is(err, ErrBadAddress) {
+			t.Errorf("double free: want ErrBadAddress, got %v", err)
+		}
+		for _, gpa := range []uint64{b.GPA, b.GPA + PageSize} {
+			if _, err := m.Translate(gpa); !errors.Is(err, ErrNotTranslated) {
+				t.Errorf("Translate(%#x) after free: want ErrNotTranslated, got %v", gpa, err)
+			}
+		}
+		if _, err := m.Slice(b.GPA, 1); !errors.Is(err, ErrNotTranslated) {
+			t.Errorf("Slice after free: want ErrNotTranslated, got %v", err)
+		}
+		if b, err = m.Alloc(3 * PageSize); err != nil {
+			t.Fatalf("round %d: Alloc after LIFO free: %v", i, err)
+		}
+		if b.GPA != PageSize {
+			t.Errorf("round %d: Alloc after LIFO free at %#x, want %#x", i, b.GPA, PageSize)
+		}
+		if err := m.Free(b.GPA); err != nil {
+			t.Fatal(err)
+		}
+		if b, err = m.Alloc(2 * PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A hole below the highest allocation is not reused; freeing the
+	// highest then rewinds past the hole too.
+	if err := m.Free(a.GPA); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Translate(a.GPA); !errors.Is(err, ErrNotTranslated) {
+		t.Errorf("Translate of a hole: want ErrNotTranslated, got %v", err)
+	}
+	if _, err := m.Alloc(2 * PageSize); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("Alloc into a hole: want ErrOutOfMemory, got %v", err)
+	}
+	if page, err := m.Translate(b.GPA); err != nil || &page[0] != &b.Data[0] {
+		t.Errorf("Translate of the live allocation after a hole: %v", err)
+	}
+	if err := m.Free(b.GPA); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := m.Alloc(4 * PageSize); err != nil || c.GPA != 0 {
+		t.Errorf("Alloc of all guest RAM after freeing everything: GPA %#x, %v", c.GPA, err)
+	}
+	if got, want := reg.Counter("hostmem.snapshot.swaps").Load(), int64(23); got != want {
+		t.Errorf("hostmem.snapshot.swaps = %d, want %d (allocations only)", got, want)
+	}
 }
 
 // TestSnapshotSwapCounter verifies hostmem.snapshot.swaps counts every
@@ -301,12 +406,15 @@ func TestSnapshotSwapCounter(t *testing.T) {
 
 // TestLookupMatchesPageModel checks Translate and Slice against a per-page
 // reference model: a map from every guest page to the Buffer that owns it,
-// built from what Alloc returned. Random allocation sequences mix
-// zero-length, sub-page and multi-page sizes. The probes cover every page
-// of guest RAM and two past it, unaligned addresses, the zero-length
-// sentinel, the first byte past the bump pointer, and Slices that end
-// exactly at an allocation's end or cross into the next one. Error classes
-// must match, and every success must alias the owning Buffer's bytes.
+// built from what Alloc returned and Free released. Random sequences mix
+// zero-length, sub-page and multi-page allocations with frees of the
+// highest live allocation (which rewinds the bump pointer the model
+// predicts every allocation's GPA from) and of any other (a hole). The
+// probes cover every page of guest RAM and two past it, unaligned
+// addresses, the zero-length sentinel, the first byte past the bump
+// pointer, and Slices of live and freed allocations that end exactly at an
+// allocation's end or cross into the next one. Error classes must match,
+// and every success must alias the owning Buffer's bytes.
 func TestLookupMatchesPageModel(t *testing.T) {
 	roundUp := func(n int) uint64 { return (uint64(n) + PageSize - 1) &^ (PageSize - 1) }
 	sizes := []int{0, 1, PageSize - 1, PageSize, PageSize + 1, 3 * PageSize}
@@ -314,15 +422,41 @@ func TestLookupMatchesPageModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		m := New(int64(rng.Intn(24*PageSize)) + 1)
 		owner := map[uint64]Buffer{} // page GPA -> allocation covering it
-		var bufs []Buffer
+		var bufs, live []Buffer
 		var bump uint64
-		for i := 0; i < trial%12; i++ {
+		for i := 0; i < trial%16; i++ {
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				j := len(live) - 1 // highest: rewinds
+				if rng.Intn(2) == 0 {
+					j = rng.Intn(len(live))
+				}
+				buf := live[j]
+				live = append(live[:j], live[j+1:]...)
+				if err := m.Free(buf.GPA); err != nil {
+					t.Fatalf("trial %d: Free(%#x): %v", trial, buf.GPA, err)
+				}
+				if err := m.Free(buf.GPA); !errors.Is(err, ErrBadAddress) {
+					t.Errorf("trial %d: second Free(%#x): want ErrBadAddress, got %v", trial, buf.GPA, err)
+				}
+				for p := buf.GPA; p < buf.GPA+roundUp(len(buf.Data)); p += PageSize {
+					delete(owner, p)
+				}
+				bump = 0
+				if len(live) > 0 {
+					top := live[len(live)-1]
+					bump = top.GPA + roundUp(len(top.Data))
+				}
+				continue
+			}
 			n := rng.Intn(6 * PageSize)
 			if rng.Intn(2) == 0 {
 				n = sizes[rng.Intn(len(sizes))]
 			}
 			buf, err := m.Alloc(n)
 			if errors.Is(err, ErrOutOfMemory) {
+				if bump+roundUp(n) <= uint64(m.Size()) {
+					t.Errorf("trial %d: Alloc(%d) at bump %#x: %v", trial, n, bump, err)
+				}
 				continue
 			}
 			if err != nil {
@@ -331,7 +465,11 @@ func TestLookupMatchesPageModel(t *testing.T) {
 			if n == 0 {
 				continue // the sentinel maps no page
 			}
+			if buf.GPA != bump {
+				t.Errorf("trial %d: Alloc(%d) at %#x, want the bump pointer %#x", trial, n, buf.GPA, bump)
+			}
 			bufs = append(bufs, buf)
+			live = append(live, buf)
 			bump = buf.GPA + roundUp(n)
 			for p := buf.GPA; p < bump; p += PageSize {
 				owner[p] = buf

@@ -55,6 +55,11 @@ func (e *Env) AllocBuffer(n int) (hostmem.Buffer, error) {
 	return e.mem.Alloc(n)
 }
 
+// FreeBuffer implements sdk.Env.
+func (e *Env) FreeBuffer(buf hostmem.Buffer) error {
+	return e.mem.Free(buf.GPA)
+}
+
 // Timeline implements sdk.Env.
 func (e *Env) Timeline() *simtime.Timeline { return e.tl }
 

@@ -66,8 +66,16 @@ type dpuState struct {
 // been written, so machines with many 64 MB-per-DPU ranks fit in laptop RAM.
 const physChunkBytes = 1 << 20
 
-// physChunk is one committed chunk of a rank's physical storage.
+// physChunk is the bytes of one committed chunk of a rank's physical storage.
 type physChunk = [physChunkBytes]byte
+
+// chunk is one committed chunk. A checkpoint marks it shared and hands the
+// same pointer to the snapshot; a shared chunk's bytes never change again, so
+// one snapshot may be restored any number of times, on any rank.
+type chunk struct {
+	data   *physChunk
+	shared atomic.Bool
+}
 
 // Rank models one UPMEM rank: the interleaved physical storage backing all
 // DPU MRAM banks, the per-DPU program state, and the control interface.
@@ -78,10 +86,12 @@ type Rank struct {
 
 	// chunks lazily back the rank's physical byte array. Logical MRAM byte
 	// i of DPU d lives at physical offset interleave(d, i); see
-	// (*Rank).physRange. The first write to a chunk commits it by
-	// compare-and-swap, so DMAs of concurrently running DPUs take no lock;
-	// reads of never-written chunks observe zeros without allocating.
-	chunks []atomic.Pointer[physChunk]
+	// (*Rank).physRange. A write to a private chunk takes no lock, so DMAs
+	// of concurrently running DPUs do not contend. The first write to a nil
+	// or shared chunk commits a private one under commitMu. Reads of
+	// never-written chunks observe zeros without allocating.
+	chunks   []atomic.Pointer[chunk]
+	commitMu sync.Mutex
 
 	dpus []dpuState
 	ci   CIStats
@@ -97,34 +107,54 @@ func NewRank(index int, cfg RankConfig, model cost.Model) *Rank {
 		cfg:    cfg,
 		index:  index,
 		model:  model,
-		chunks: make([]atomic.Pointer[physChunk], nChunks),
+		chunks: make([]atomic.Pointer[chunk], nChunks),
 		dpus:   make([]dpuState, cfg.DPUs),
 	}
 }
 
 // physWrite returns a writable slice for physical bytes [off, off+n), which
-// must not cross a chunk boundary; the chunk is committed on first write.
+// must not cross a chunk boundary. A nil or shared chunk is first replaced
+// by a private one (copy on write).
 func (r *Rank) physWrite(off int64, n int64) []byte {
 	p := &r.chunks[off/physChunkBytes]
-	chunk := p.Load()
-	for chunk == nil {
-		// Racing first writers each offer a zeroed chunk; one of them wins.
-		p.CompareAndSwap(nil, new(physChunk))
-		chunk = p.Load()
+	c := p.Load()
+	if c == nil || c.shared.Load() {
+		c = r.commit(p)
 	}
 	in := off % physChunkBytes
-	return chunk[in : in+n]
+	return c.data[in : in+n]
+}
+
+// commit installs a private chunk in slot p: zeroed where p holds none, a
+// copy of the shared bytes otherwise. Racing writers check again under the
+// lock, so one chunk is committed and every writer gets it.
+func (r *Rank) commit(p *atomic.Pointer[chunk]) *chunk {
+	r.commitMu.Lock()
+	defer r.commitMu.Unlock()
+	c := p.Load()
+	switch {
+	case c == nil:
+		c = &chunk{data: new(physChunk)}
+	case c.shared.Load():
+		// append allocates without zeroing the bytes it then overwrites,
+		// unlike new followed by copy.
+		c = &chunk{data: (*physChunk)(append([]byte(nil), c.data[:]...))}
+	default:
+		return c
+	}
+	p.Store(c)
+	return c
 }
 
 // physRead returns a read-only slice for physical bytes [off, off+n), or
 // nil when the chunk has never been written (all zeros).
 func (r *Rank) physRead(off int64, n int64) []byte {
-	chunk := r.chunks[off/physChunkBytes].Load()
-	if chunk == nil {
+	c := r.chunks[off/physChunkBytes].Load()
+	if c == nil {
 		return nil
 	}
 	in := off % physChunkBytes
-	return chunk[in : in+n]
+	return c.data[in : in+n]
 }
 
 // Index reports the rank's position on the host machine.

@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/cost"
@@ -15,7 +16,7 @@ import (
 type Snapshot struct {
 	dpus      int
 	mramBytes int64
-	chunks    []*physChunk
+	chunks    []*chunk
 	programs  []*Kernel
 	symbols   []map[string][]byte
 }
@@ -38,19 +39,14 @@ func (s *Snapshot) CommittedBytes() int64 {
 	return n
 }
 
-// cloneChunk copies a committed chunk, or returns nil for an uncommitted
-// one. append allocates without zeroing the bytes it then overwrites,
-// unlike new followed by copy.
-func cloneChunk(c *physChunk) *physChunk {
-	if c == nil {
-		return nil
-	}
-	return (*physChunk)(append([]byte(nil), c[:]...))
-}
-
 // Checkpoint captures the rank's state. The rank must be idle (no launch in
 // flight); UPMEM cannot pause a running task, so checkpoints happen between
 // launches. The returned duration is the virtual copy cost.
+//
+// The snapshot shares the rank's MRAM chunks instead of copying them: each
+// committed chunk is marked shared, and the rank's next write to it copies
+// the bytes first. The host work is O(chunks); the virtual clock still
+// charges the full copy the hardware would make.
 func (r *Rank) Checkpoint() (*Snapshot, time.Duration, error) {
 	if !r.busy.CompareAndSwap(false, true) {
 		return nil, 0, ErrBusy
@@ -63,21 +59,18 @@ func (r *Rank) Checkpoint() (*Snapshot, time.Duration, error) {
 		symbols:   make([]map[string][]byte, r.cfg.DPUs),
 		programs:  make([]*Kernel, r.cfg.DPUs),
 	}
-	snap.chunks = make([]*physChunk, len(r.chunks))
+	snap.chunks = make([]*chunk, len(r.chunks))
 	for i := range r.chunks {
-		snap.chunks[i] = cloneChunk(r.chunks[i].Load())
+		if c := r.chunks[i].Load(); c != nil {
+			c.shared.Store(true)
+			snap.chunks[i] = c
+		}
 	}
 	for d := range r.dpus {
 		st := &r.dpus[d]
 		st.mu.Lock()
 		snap.programs[d] = st.kernel
-		if st.symbols != nil {
-			syms := make(map[string][]byte, len(st.symbols))
-			for name, buf := range st.symbols {
-				syms[name] = append([]byte(nil), buf...)
-			}
-			snap.symbols[d] = syms
-		}
+		snap.symbols[d] = cloneSymbols(st.symbols)
 		st.mu.Unlock()
 	}
 	return snap, r.model.CopyDuration(cost.EngineC, snap.CommittedBytes()), nil
@@ -85,7 +78,8 @@ func (r *Rank) Checkpoint() (*Snapshot, time.Duration, error) {
 
 // Restore installs a snapshot onto this rank (the destination of a
 // migration). The geometries must match. The returned duration is the
-// virtual copy cost.
+// virtual copy cost. The rank takes the snapshot's shared chunks, and a
+// chunk the snapshot lacks reads as zeros whatever the rank held there.
 func (r *Rank) Restore(snap *Snapshot) (time.Duration, error) {
 	if snap.dpus != r.cfg.DPUs || snap.mramBytes != r.cfg.MRAMBytes {
 		return 0, ErrOutOfRange
@@ -96,22 +90,27 @@ func (r *Rank) Restore(snap *Snapshot) (time.Duration, error) {
 	defer r.busy.Store(false)
 
 	for i, c := range snap.chunks {
-		r.chunks[i].Store(cloneChunk(c))
+		r.chunks[i].Store(c)
 	}
 	for d := range r.dpus {
 		st := &r.dpus[d]
 		st.mu.Lock()
 		st.kernel = snap.programs[d]
-		if snap.symbols[d] != nil {
-			syms := make(map[string][]byte, len(snap.symbols[d]))
-			for name, buf := range snap.symbols[d] {
-				syms[name] = append([]byte(nil), buf...)
-			}
-			st.symbols = syms
-		} else {
-			st.symbols = nil
-		}
+		st.symbols = cloneSymbols(snap.symbols[d])
 		st.mu.Unlock()
 	}
 	return r.model.CopyDuration(cost.EngineC, snap.CommittedBytes()), nil
+}
+
+// cloneSymbols copies a DPU's host symbol values; nil stays nil. Symbols
+// are a few bytes each, so unlike MRAM they are copied, not shared.
+func cloneSymbols(syms map[string][]byte) map[string][]byte {
+	if syms == nil {
+		return nil
+	}
+	out := make(map[string][]byte, len(syms))
+	for name, buf := range syms {
+		out[name] = bytes.Clone(buf)
+	}
+	return out
 }

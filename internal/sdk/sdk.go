@@ -112,6 +112,13 @@ type Env interface {
 	AllocSet(nrDPUs int) (*Set, error)
 	// AllocBuffer allocates page-aligned application memory.
 	AllocBuffer(n int) (hostmem.Buffer, error)
+	// FreeBuffer releases a buffer AllocBuffer returned; its memory must
+	// not be used afterwards. Memory is reused when buffers are freed in
+	// the reverse order of their allocation, as a run frees its own
+	// buffers; a buffer freed below a live one leaves a hole that is
+	// reused only once everything above it is freed too. Freeing a buffer
+	// twice fails.
+	FreeBuffer(buf hostmem.Buffer) error
 	// Timeline is the environment's virtual clock.
 	Timeline() *simtime.Timeline
 	// Tracker is the breakdown accumulator attached to the timeline.

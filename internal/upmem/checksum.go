@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/hostmem"
 	"repro/internal/pim"
 	"repro/internal/sdk"
 	"repro/internal/trace"
@@ -93,8 +94,9 @@ func checksumKernel() *pim.Kernel {
 }
 
 // RunChecksum executes the checksum microbenchmark and validates every
-// DPU's result against the CPU checksum.
-func RunChecksum(env sdk.Env, p ChecksumParams) error {
+// DPU's result against the CPU checksum. It frees the buffers it allocates,
+// so a long-running guest can run any number of jobs.
+func RunChecksum(env sdk.Env, p ChecksumParams) (err error) {
 	if p.DPUs == 0 {
 		p.DPUs = 60
 	}
@@ -122,6 +124,7 @@ func RunChecksum(env sdk.Env, p ChecksumParams) error {
 	if err != nil {
 		return err
 	}
+	defer freeBuffer(env, file, &err)
 	// xorshift fill: fast and deterministic.
 	state := uint64(p.Seed)*2685821657736338717 + 1442695040888963407
 	var want uint64
@@ -158,6 +161,7 @@ func RunChecksum(env sdk.Env, p ChecksumParams) error {
 	if err != nil {
 		return err
 	}
+	defer freeBuffer(env, resBuf, &err)
 	err = sdk.Phase(tl, trace.PhaseDPUCPU, func() error {
 		for d := 0; d < p.DPUs; d++ {
 			if err := set.CopyFromMRAM(d, int64(words)*4, resBuf, 8); err != nil {
@@ -170,6 +174,14 @@ func RunChecksum(env sdk.Env, p ChecksumParams) error {
 		return nil
 	})
 	return err
+}
+
+// freeBuffer frees buf and reports a failure in *err unless it already
+// holds one.
+func freeBuffer(env sdk.Env, buf hostmem.Buffer, err *error) {
+	if ferr := env.FreeBuffer(buf); *err == nil {
+		*err = ferr
+	}
 }
 
 // broadcastU32 writes a uint32 host symbol on every DPU.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/manager"
 	"repro/internal/pim"
+	"repro/internal/upmem"
 )
 
 // bigRankVM boots a Full VM with memBytes of guest RAM on a one-rank
@@ -80,6 +81,28 @@ func TestAttachIsAllOrNothing(t *testing.T) {
 			if owner != "" {
 				t.Errorf("attempt %d: rank %d still owned by %q", attempt, i, owner)
 			}
+		}
+	}
+}
+
+// TestChecksumJobsReuseGuestRAM: a guest whose RAM holds the device buffers
+// and about ten checksum jobs' input runs a hundred jobs, because each job
+// frees its buffers and the next one reuses the memory. Before checksum
+// freed its input and result buffers, this guest ran out of memory at its
+// eleventh job.
+func TestChecksumJobsReuseGuestRAM(t *testing.T) {
+	mach, mgr := testStack(t, 1)
+	if err := upmem.Register(mach.Registry()); err != nil {
+		t.Fatal(err)
+	}
+	vm, err := NewVM(mach, mgr, Config{Name: "long", MemBytes: 2 << 20, Options: Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job := 0; job < 100; job++ {
+		p := upmem.ChecksumParams{DPUs: 4, BytesPerDPU: 64 << 10, Seed: int64(job + 1)}
+		if err := upmem.RunChecksum(vm, p); err != nil {
+			t.Fatalf("job %d: %v", job, err)
 		}
 	}
 }

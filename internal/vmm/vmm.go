@@ -413,6 +413,11 @@ func (vm *VM) AllocBuffer(n int) (hostmem.Buffer, error) {
 	return vm.mem.Alloc(n)
 }
 
+// FreeBuffer implements sdk.Env.
+func (vm *VM) FreeBuffer(buf hostmem.Buffer) error {
+	return vm.mem.Free(buf.GPA)
+}
+
 // Timeline implements sdk.Env.
 func (vm *VM) Timeline() *simtime.Timeline { return vm.tl }
 
