@@ -38,7 +38,6 @@ func main() {
 		scale    = flag.Int("scale", 1, "PrIM dataset scale factor")
 		weak     = flag.Bool("weak", false, "PrIM weak scaling (per-DPU share constant) for -fig 8")
 		ckdiv    = flag.Int("checksum-divisor", 4, "divide checksum sizes by this (1 = paper's 8-60 MB per DPU)")
-		shards   = flag.Int("shards", 1, "manager shards to federate the rank pool across (1 = single manager; results are identical)")
 		traceOut = flag.String("trace", "", "write a Chrome trace of one vPIM run to this file")
 		traceApp = flag.String("trace-app", "VA", "PrIM application for -trace")
 		fig13Out = flag.String("fig13-json", "", "write the Fig 13 step breakdown as JSON to this file")
@@ -55,7 +54,6 @@ func main() {
 		Scale:           *scale,
 		Weak:            *weak,
 		ChecksumDivisor: *ckdiv,
-		Shards:          *shards,
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, *traceApp, cfg); err != nil {

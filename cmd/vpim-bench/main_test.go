@@ -74,7 +74,7 @@ func TestFig13ExportReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := bench.Config{Ranks: 2, DPUsPerRank: 8, Scale: 1, ChecksumDivisor: 60, Shards: 1}
+	cfg := bench.Config{Ranks: 2, DPUsPerRank: 8, Scale: 1, ChecksumDivisor: 60}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)

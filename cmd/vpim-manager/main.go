@@ -7,20 +7,12 @@
 //
 //	vpim-manager -socket /tmp/vpim-manager.sock -ranks 8
 //
-// With -shards N (N > 1) the rank pool is federated across N manager
-// shards behind a placement router (power-of-two-choices by default):
-//
-//	vpim-manager -ranks 8 -shards 4 -placement p2c
-//
 // Try it with a shell client:
 //
 //	printf '{"op":"alloc","owner":"vm0"}\n' | nc -U /tmp/vpim-manager.sock
 //
 // The METRICS verb returns the manager's counter snapshot (allocations
-// granted/parked/timed out, releases, resets, quarantines) as JSON; the
-// CLUSTER verb returns per-shard residency and routing counters:
-//
-//	printf '{"op":"cluster"}\n' | nc -U /tmp/vpim-manager.sock
+// granted/parked/timed out, releases, resets, quarantines) as JSON.
 package main
 
 import (
@@ -38,18 +30,15 @@ import (
 
 func main() {
 	var (
-		socket    = flag.String("socket", "/tmp/vpim-manager.sock", "UNIX socket path")
-		ranks     = flag.Int("ranks", 8, "physical ranks on the machine")
-		dpus      = flag.Int("dpus", 60, "functional DPUs per rank")
-		threads   = flag.Int("threads", 8, "request thread-pool size (bounds in-flight requests)")
-		retries   = flag.Int("retries", 3, "allocation poll attempts before abandoning")
-		timeout   = flag.Duration("retry-timeout", 100*time.Millisecond, "first allocation poll interval")
-		backoff   = flag.Float64("backoff", 2, "poll-interval multiplier per failed attempt")
-		sched     = flag.String("sched", "none", "oversubscription policy: none (FIFO wait) or slice (preemptive time-slicing)")
-		quantum   = flag.Duration("quantum", 5*time.Millisecond, "virtual runtime per slice before a tenant becomes preemptible (-sched slice)")
-		shards    = flag.Int("shards", 1, "manager shards to federate the rank pool across (1 = single manager)")
-		placement = flag.String("placement", "p2c", "cluster placement policy: p2c (power-of-two-choices) or rr (round-robin)")
-		placeSeed = flag.Int64("placement-seed", 1, "seed of the p2c sampling stream (determinism)")
+		socket  = flag.String("socket", "/tmp/vpim-manager.sock", "UNIX socket path")
+		ranks   = flag.Int("ranks", 8, "physical ranks on the machine")
+		dpus    = flag.Int("dpus", 60, "functional DPUs per rank")
+		threads = flag.Int("threads", 8, "request thread-pool size (bounds in-flight requests)")
+		retries = flag.Int("retries", 3, "allocation poll attempts before abandoning")
+		timeout = flag.Duration("retry-timeout", 100*time.Millisecond, "first allocation poll interval")
+		backoff = flag.Float64("backoff", 2, "poll-interval multiplier per failed attempt")
+		sched   = flag.String("sched", "none", "oversubscription policy: none (FIFO wait) or slice (preemptive time-slicing)")
+		quantum = flag.Duration("quantum", 5*time.Millisecond, "virtual runtime per slice before a tenant becomes preemptible (-sched slice)")
 	)
 	flag.Parse()
 	var policy manager.SchedPolicy
@@ -62,11 +51,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vpim-manager: unknown -sched policy %q (want none or slice)\n", *sched)
 		os.Exit(2)
 	}
-	place, err := manager.ParsePlacement(*placement)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vpim-manager:", err)
-		os.Exit(2)
-	}
 	opts := manager.Options{
 		Threads:      *threads,
 		Retries:      *retries,
@@ -75,14 +59,13 @@ func main() {
 		SchedPolicy:  policy,
 		Quantum:      *quantum,
 	}
-	copts := manager.ClusterOptions{Placement: place, Seed: *placeSeed}
-	if err := run(*socket, *ranks, *dpus, *shards, opts, copts); err != nil {
+	if err := run(*socket, *ranks, *dpus, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "vpim-manager:", err)
 		os.Exit(1)
 	}
 }
 
-func run(socket string, ranks, dpus, shards int, opts manager.Options, copts manager.ClusterOptions) error {
+func run(socket string, ranks, dpus int, opts manager.Options) error {
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: ranks,
 		Rank:  pim.RankConfig{DPUs: dpus},
@@ -90,39 +73,19 @@ func run(socket string, ranks, dpus, shards int, opts manager.Options, copts man
 	if err != nil {
 		return err
 	}
-	// The served arbiter is either a single manager or a sharded cluster;
-	// the wire protocol is identical except the extra `cluster` verb.
-	var arb manager.Arbiter
-	var observed interface {
-		StartObserver(time.Duration) *manager.Observer
-	}
-	if shards > 1 {
-		cl, err := manager.NewCluster(mach, shards, opts, copts)
-		if err != nil {
-			return err
-		}
-		arb, observed = cl, cl
-	} else {
-		mgr := manager.New(mach, opts)
-		arb, observed = mgr, mgr
-	}
+	mgr := manager.New(mach, opts)
 	// The observer thread erases released ranks in the background
 	// (Section 3.5).
-	obs := observed.StartObserver(100 * time.Millisecond)
+	obs := mgr.StartObserver(100 * time.Millisecond)
 	defer obs.Stop()
-	srv := manager.NewServer(arb)
+	srv := manager.NewServer(mgr)
 
 	_ = os.Remove(socket)
 	l, err := net.Listen("unix", socket)
 	if err != nil {
 		return err
 	}
-	if shards > 1 {
-		fmt.Printf("vpim-manager: %d ranks (%d DPUs each) across %d shards (%v placement), listening on %s\n",
-			ranks, dpus, shards, copts.Placement, socket)
-	} else {
-		fmt.Printf("vpim-manager: %d ranks (%d DPUs each), listening on %s\n", ranks, dpus, socket)
-	}
+	fmt.Printf("vpim-manager: %d ranks (%d DPUs each), listening on %s\n", ranks, dpus, socket)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -134,7 +97,7 @@ func run(socket string, ranks, dpus, shards int, opts manager.Options, copts man
 		fmt.Println("vpim-manager: shutting down")
 		// Close the manager first: waiters parked in the FIFO queue unwind
 		// immediately instead of sleeping out their retry budgets.
-		arb.Close()
+		mgr.Close()
 		srv.Shutdown()
 		<-done
 		return nil

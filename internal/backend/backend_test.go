@@ -69,7 +69,7 @@ func handleControl(b *Backend, chain *virtio.Chain, tl *simtime.Timeline) error 
 	return b.HandleControl([]*virtio.Chain{chain}, tl)[0]
 }
 
-func TestHandleTransferNoRank(t *testing.T) {
+func TestHandleWindowNoRank(t *testing.T) {
 	b, mem := testBackend(t, false)
 	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpCI, Offset: 1}, nil)
 	err := handle(b, chain, simtime.New())
@@ -78,7 +78,7 @@ func TestHandleTransferNoRank(t *testing.T) {
 	}
 }
 
-func TestHandleTransferShortChain(t *testing.T) {
+func TestHandleWindowShortChain(t *testing.T) {
 	b, _ := testBackend(t, true)
 	err := handle(b, &virtio.Chain{Descs: []virtio.Desc{{GPA: 0, Len: 8}}}, simtime.New())
 	if err == nil {
@@ -86,7 +86,7 @@ func TestHandleTransferShortChain(t *testing.T) {
 	}
 }
 
-func TestHandleTransferStatusNotWritable(t *testing.T) {
+func TestHandleWindowStatusNotWritable(t *testing.T) {
 	b, mem := testBackend(t, true)
 	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpCI}, nil)
 	chain.Descs[len(chain.Descs)-1].Writable = false
@@ -96,7 +96,7 @@ func TestHandleTransferStatusNotWritable(t *testing.T) {
 	}
 }
 
-func TestHandleTransferUnknownOp(t *testing.T) {
+func TestHandleWindowUnknownOp(t *testing.T) {
 	b, mem := testBackend(t, true)
 	chain := buildChain(t, mem, virtio.Request{Op: 99}, nil)
 	err := handle(b, chain, simtime.New())

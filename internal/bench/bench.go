@@ -36,10 +36,6 @@ type Config struct {
 	// Weak selects PrIM weak scaling (per-DPU share constant) instead of
 	// the paper's strong scaling.
 	Weak bool
-	// Shards federates the rank pool across N manager shards behind the
-	// cluster placement router (0 or 1 = a single manager, the default).
-	// Results must not change: sharding is invisible to the guest.
-	Shards int
 }
 
 func (c Config) withDefaults() Config {
@@ -69,20 +65,9 @@ func New(w io.Writer, cfg Config) *Harness {
 	return &Harness{w: w, cfg: cfg.withDefaults()}
 }
 
-// arbiter is the rank-management surface the harness drives: the
-// virtualized allocation interface, the native pool, and the maintenance
-// hooks the overhead figures exercise. Both the single Manager and the
-// sharded Cluster satisfy it.
-type arbiter interface {
-	manager.RankManager
-	native.RankPool
-	Release(r *pim.Rank) error
-	ProcessResets() time.Duration
-}
-
 // machine builds a fresh machine with all kernels registered, fronted by
-// a single manager or (Config.Shards > 1) a sharded cluster.
-func (h *Harness) machine() (*pim.Machine, arbiter, error) {
+// one manager.
+func (h *Harness) machine() (*pim.Machine, *manager.Manager, error) {
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: h.cfg.Ranks,
 		Rank:  pim.RankConfig{DPUs: h.cfg.DPUsPerRank, MRAMBytes: h.cfg.MRAMBytes},
@@ -95,13 +80,6 @@ func (h *Harness) machine() (*pim.Machine, arbiter, error) {
 	}
 	if err := upmem.Register(mach.Registry()); err != nil {
 		return nil, nil, err
-	}
-	if h.cfg.Shards > 1 {
-		cl, err := manager.NewCluster(mach, h.cfg.Shards, manager.Options{}, manager.ClusterOptions{})
-		if err != nil {
-			return nil, nil, err
-		}
-		return mach, cl, nil
 	}
 	return mach, manager.New(mach, manager.Options{}), nil
 }

@@ -33,11 +33,6 @@ type Config struct {
 	// scheduler evicts them to admit this VM, and their checkpointed bytes
 	// must survive the park/restore round trip (timeslice.go).
 	TimeSlice bool
-	// ClusterShards > 0 runs the app on a VM backed by an N-shard manager
-	// cluster and reconciles the per-shard counter sums against a
-	// single-manager twin (cluster.go): sharding must be invisible to both
-	// the readback digest and the manager.* counter totals.
-	ClusterShards int
 }
 
 // Configs returns the conformance matrix: the native reference plus every
@@ -72,10 +67,6 @@ func Configs() []Config {
 		// ride per-slot buffers instead of the batch sets.
 		{Name: "vPIM-pipe", Opts: pipelineOpts(vmm.Full()), Trace: true},
 		{Name: "vPIM-pipe-nobatch", Opts: pipelineOpts(vmm.Options{Engine: cost.EngineC})},
-		// Sharded rank pool behind the placement router: same full variant,
-		// but every Alloc is routed across two manager shards. Digest and
-		// manager.* counter totals must match a single-manager twin exactly.
-		{Name: "vPIM-cluster", Opts: vmm.Full(), ClusterShards: 2},
 		// Broadcast deduplication: writes sharing one backing buffer collapse
 		// to a single wire row plus a backend fan-out. The digest must stay
 		// bit-exact, the collapsed/rows_saved/fanout counter identity must
@@ -118,9 +109,6 @@ func runConfig(cfg Config, app prim.App) (runResult, error) {
 	}
 	if cfg.TimeSlice {
 		return runTimeSliceCell(app)
-	}
-	if cfg.ClusterShards > 0 {
-		return runClusterCell(app, cfg)
 	}
 	mach, mgr, err := newMachine()
 	if err != nil {

@@ -200,10 +200,11 @@ type Manager struct {
 	closed  bool
 	fault   *FaultPolicy
 
-	// Time-slicing scheduler state (scheduler.go): parked snapshots of
-	// preempted tenants, per-owner quantum accounts, and the aging level
+	// Time-slicing scheduler state (scheduler.go): the parked snapshot of
+	// each preempted tenant, waiting for the owner's next operation to
+	// restore it somewhere; per-owner quantum accounts; and the aging level
 	// of the current head waiter.
-	parked       map[string]*parkedSnap
+	parked       map[string]*pim.Snapshot
 	stats        map[string]*ownerStat
 	schedStarved int
 
@@ -221,15 +222,29 @@ type Manager struct {
 	cMigrations  *obs.Counter
 }
 
-// New builds a manager over the machine's ranks; all start NAAV.
-func New(machine *pim.Machine, opts Options) *Manager {
-	return NewOver(machine, machine.Ranks(), opts)
+// RankManager is the allocation surface a device backend drives; *Manager
+// implements it.
+type RankManager interface {
+	// Alloc reserves one rank for owner (blocking, FIFO).
+	Alloc(owner string) (*pim.Rank, time.Duration, error)
+	// Acquire pins owner's rank for one operation, restoring parked
+	// preemption state if needed.
+	Acquire(owner string, r *pim.Rank) (*pim.Rank, AcquireCost, error)
+	// EndOp unpins a rank and charges elapsed runtime to its owner.
+	EndOp(r *pim.Rank, elapsed time.Duration)
+	// ReleaseOwned returns owner's rank (or discards its parked state).
+	ReleaseOwned(owner string, r *pim.Rank) error
+	// MigrateOwned consolidates owner's rank onto another rank.
+	MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Duration, error)
+	// Discard drops owner's parked snapshot without an allocation.
+	Discard(owner string) bool
 }
 
-// NewOver builds a manager owning just the given subset of the machine's
-// ranks: the shard constructor of cluster mode (cluster.go). The subset
-// managers of one machine must be disjoint; New covers the whole machine.
-func NewOver(machine *pim.Machine, ranks []*pim.Rank, opts Options) *Manager {
+var _ RankManager = (*Manager)(nil)
+
+// New builds a manager over the machine's ranks; all start NAAV.
+func New(machine *pim.Machine, opts Options) *Manager {
+	ranks := machine.Ranks()
 	entries := make([]entry, len(ranks))
 	for i, r := range ranks {
 		entries[i] = entry{rank: r, state: StateNAAV}
@@ -239,7 +254,7 @@ func NewOver(machine *pim.Machine, ranks []*pim.Rank, opts Options) *Manager {
 		opts:         opts.withDefaults(),
 		allocLatency: machine.Model().ManagerAllocLatency,
 		entries:      entries,
-		parked:       make(map[string]*parkedSnap),
+		parked:       make(map[string]*pim.Snapshot),
 		stats:        make(map[string]*ownerStat),
 		reg:          reg,
 		cGranted:     reg.Counter("manager.allocs.granted"),
@@ -630,7 +645,7 @@ func (m *Manager) Close() {
 	}
 	m.waiters = nil
 	// Parked snapshots can never resume once allocation is closed.
-	m.parked = make(map[string]*parkedSnap)
+	m.parked = make(map[string]*pim.Snapshot)
 }
 
 // AcquireNative reserves ranks covering nrDPUs for a host-native

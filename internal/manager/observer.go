@@ -2,13 +2,6 @@ package manager
 
 import "time"
 
-// resetter is the background-maintenance surface the observer drives; both
-// the single Manager and the sharded Cluster implement it.
-type resetter interface {
-	ProcessResets() time.Duration
-	RetryQuarantined() int
-}
-
 // Observer is the manager's dedicated background thread (Section 3.5): it
 // watches the rank status files and erases released (NANA) ranks so they
 // return to the allocatable pool without blocking any allocation request.
@@ -17,7 +10,7 @@ type resetter interface {
 // ProcessResets synchronously instead; the standalone daemon runs an
 // Observer.
 type Observer struct {
-	mgr      resetter
+	mgr      *Manager
 	interval time.Duration
 	stop     chan struct{}
 	done     chan struct{}
@@ -27,21 +20,11 @@ type Observer struct {
 // table every interval (the sysfs watch of the real system). Stop it with
 // Stop; the manager stays usable throughout.
 func (m *Manager) StartObserver(interval time.Duration) *Observer {
-	return startObserver(m, interval)
-}
-
-// StartObserver launches one background reset thread covering every live
-// shard (the observer of the real system is per machine, not per pool).
-func (c *Cluster) StartObserver(interval time.Duration) *Observer {
-	return startObserver(c, interval)
-}
-
-func startObserver(r resetter, interval time.Duration) *Observer {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
 	o := &Observer{
-		mgr:      r,
+		mgr:      m,
 		interval: interval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

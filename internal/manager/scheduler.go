@@ -66,13 +66,6 @@ const agingPasses = 2
 // the socket protocol and are never preempted.
 const nativeOwner = "native"
 
-// parkedSnap is a preempted tenant: its rank image, waiting for the owner's
-// next operation to restore it somewhere.
-type parkedSnap struct {
-	snap *pim.Snapshot
-	from int // rank index the tenant was checkpointed off (stats only)
-}
-
 // ownerStat is one owner's scheduling account on the virtual clock.
 type ownerStat struct {
 	slice       time.Duration // runtime accumulated in the current residency
@@ -192,7 +185,7 @@ func (m *Manager) preemptLocked(e *entry) bool {
 		return false
 	}
 	owner := e.owner
-	m.parked[owner] = &parkedSnap{snap: snap, from: e.rank.Index()}
+	m.parked[owner] = snap
 	st := m.statLocked(owner)
 	st.slice = 0
 	st.preemptions++
@@ -277,10 +270,10 @@ func (m *Manager) resumeParked(owner string) (*pim.Rank, AcquireCost, error) {
 		}
 		m.mu.Lock()
 		e := m.entryLocked(rank)
-		ps := m.parked[owner]
+		snap := m.parked[owner]
 		restoreFault := m.fault != nil && m.fault.FailRestore != nil && m.fault.FailRestore(rank.Index())
 		m.mu.Unlock()
-		if ps == nil {
+		if snap == nil {
 			// The owner discarded its state while this resume was waiting
 			// in the queue; return the freshly granted rank and give up.
 			_ = m.Release(rank)
@@ -294,7 +287,7 @@ func (m *Manager) resumeParked(owner string) (*pim.Rank, AcquireCost, error) {
 		if restoreFault {
 			rerr = fmt.Errorf("injected restore fault on rank %d", rank.Index())
 		} else {
-			rsDur, rerr = rank.Restore(ps.snap)
+			rsDur, rerr = rank.Restore(snap)
 		}
 		if rerr != nil {
 			m.mu.Lock()

@@ -300,13 +300,29 @@ func TestSchedRestoreFailureQuarantinesTarget(t *testing.T) {
 	mgr.EndOp(ra, 0)
 }
 
-// TestSchedStressNoLeaks time-slices 6 owners over 2 ranks under the race
+// TestSchedStressNoLeaks time-slices more owners than ranks under the race
 // detector: every owner's byte must survive arbitrary rescheduling, and the
 // drained manager must hold no ALLO rank, no waiter, and no parked snapshot.
+// The migrate case also moves owners with MigrateOwned while others are
+// being preempted and restored.
 func TestSchedStressNoLeaks(t *testing.T) {
-	const owners = 6
+	for _, tc := range []struct {
+		name          string
+		ranks, owners int
+		migrate       bool
+	}{
+		{name: "6 owners on 2 ranks", ranks: 2, owners: 6},
+		{name: "8 owners on 6 ranks with migration", ranks: 6, owners: 8, migrate: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			schedStress(t, tc.ranks, tc.owners, tc.migrate)
+		})
+	}
+}
+
+func schedStress(t *testing.T, ranks, owners int, migrate bool) {
 	const iters = 60
-	mgr := New(testMachine(t, 2), Options{
+	mgr := New(testMachine(t, ranks), Options{
 		SchedPolicy:  SchedSlice,
 		Quantum:      200 * time.Microsecond,
 		Retries:      10,
@@ -365,9 +381,14 @@ func TestSchedStressNoLeaks(t *testing.T) {
 				// without this the Go scheduler serializes the owners and no
 				// two ever contend.
 				time.Sleep(200 * time.Microsecond)
-				if i%9 == 8 {
+				switch {
+				case i%9 == 8:
 					_ = mgr.ReleaseOwned(name, rank)
 					rank, has, seq = nil, false, 0
+				case migrate && i%3 == 2:
+					if dst, _, err := mgr.MigrateOwned(name, rank); err == nil {
+						rank = dst
+					}
 				}
 			}
 			if rank != nil {
@@ -394,10 +415,13 @@ func TestSchedStressNoLeaks(t *testing.T) {
 		t.Errorf("snapshots leaked: %v", parked)
 	}
 	if mgr.Preemptions() == 0 {
-		t.Error("6 owners on 2 ranks never preempted: the scheduler did not run")
+		t.Errorf("%d owners on %d ranks never preempted: the scheduler did not run", owners, ranks)
 	}
-	t.Logf("stress: preemptions=%d restores=%d quarantines=%d",
-		mgr.Preemptions(), mgr.SchedRestores(), mgr.Faults())
+	if migrate && mgr.Migrations() == 0 {
+		t.Error("no MigrateOwned attempt succeeded")
+	}
+	t.Logf("stress: preemptions=%d restores=%d migrations=%d quarantines=%d",
+		mgr.Preemptions(), mgr.SchedRestores(), mgr.Migrations(), mgr.Faults())
 }
 
 // TestServerSchedVerb exercises the `sched` wire verb: after an

@@ -8,8 +8,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"repro/internal/pim"
 )
 
 // The wire protocol of the standalone manager daemon: newline-delimited JSON
@@ -18,7 +16,7 @@ import (
 
 // Request is one client message.
 type Request struct {
-	// Op is "alloc", "release", "states", "metrics", "sched" or "cluster".
+	// Op is "alloc", "release", "states", "metrics" or "sched".
 	Op string `json:"op"`
 	// Owner identifies the requesting vUPMEM device for "alloc".
 	Owner string `json:"owner,omitempty"`
@@ -35,34 +33,9 @@ type Response struct {
 	States    []string         `json:"states,omitempty"`
 	Metrics   map[string]int64 `json:"metrics,omitempty"`
 	Sched     []OwnerSched     `json:"sched,omitempty"`
-	Cluster   *ClusterStats    `json:"cluster,omitempty"`
 }
 
-// Arbiter is the allocation authority a Server fronts: the single Manager
-// or the sharded Cluster. The unexported methods pin the implementations
-// to this package — the wire server reaches into the blocking allocation
-// core (alloc hooks) and the daemon thread-pool bound, which no external
-// type can provide.
-type Arbiter interface {
-	RankManager
-	Release(r *pim.Rank) error
-	RankByIndex(idx int) (*pim.Rank, bool)
-	States() []RankState
-	Metrics() map[string]int64
-	Sched() []OwnerSched
-	Close()
-
-	alloc(owner string, hooks allocHooks) (*pim.Rank, time.Duration, time.Duration, error)
-	threads() int
-	clusterStats() (ClusterStats, bool)
-}
-
-var (
-	_ Arbiter = (*Manager)(nil)
-	_ Arbiter = (*Cluster)(nil)
-)
-
-// Server exposes an Arbiter over a listener. The prototype's thread pool
+// Server exposes a Manager over a listener. The prototype's thread pool
 // (8 worker threads by default) bounds in-flight *requests*, not
 // connections: every connection gets its own reader goroutine, and a request
 // occupies a pool slot only while it is actively processed. An allocation
@@ -70,7 +43,7 @@ var (
 // duration of the wait, so any number of idle persistent clients — or
 // blocked allocations — can coexist with a small pool.
 type Server struct {
-	mgr Arbiter
+	mgr *Manager
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -80,12 +53,13 @@ type Server struct {
 	closed   bool
 }
 
-// NewServer wraps an arbiter (Manager or Cluster) for serving.
-func NewServer(mgr Arbiter) *Server {
+// NewServer wraps a manager for serving, with a request pool of
+// opts.Threads slots.
+func NewServer(mgr *Manager) *Server {
 	return &Server{
 		mgr:   mgr,
 		conns: make(map[net.Conn]struct{}),
-		slots: make(chan struct{}, mgr.threads()),
+		slots: make(chan struct{}, mgr.opts.Threads),
 	}
 }
 
@@ -218,21 +192,15 @@ func (s *Server) dispatch(req Request) Response {
 		return Response{OK: true, Metrics: s.mgr.Metrics()}
 	case "sched":
 		return Response{OK: true, Sched: s.mgr.Sched()}
-	case "cluster":
-		st, ok := s.mgr.clusterStats()
-		if !ok {
-			return Response{Error: "manager is not a cluster"}
-		}
-		return Response{OK: true, Cluster: &st}
 	default:
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
-// DialOptions tunes the client's transient-failure handling. Shard
-// failover restarts the daemon's listener in place, so a client that gives
-// up on the first dial or read error turns every failover into a spurious
-// tenant error; bounded retry with backoff rides the gap out.
+// DialOptions tunes the client's transient-failure handling. A daemon
+// restarting its listener refuses connections briefly, so a client that
+// gives up on the first dial or read error turns the restart into a
+// spurious tenant error; bounded retry with backoff rides the gap out.
 type DialOptions struct {
 	// Retries is the total attempt budget for a dial or a round trip
 	// (including the first attempt). 0 selects 3.
@@ -431,20 +399,4 @@ func (c *Client) Sched() ([]OwnerSched, error) {
 		return nil, errors.New(resp.Error)
 	}
 	return resp.Sched, nil
-}
-
-// Cluster fetches the daemon's cluster topology and routing counters.
-// A single-manager daemon replies with an error: it is not a cluster.
-func (c *Client) Cluster() (ClusterStats, error) {
-	resp, err := c.roundTrip(Request{Op: "cluster"})
-	if err != nil {
-		return ClusterStats{}, err
-	}
-	if !resp.OK {
-		return ClusterStats{}, errors.New(resp.Error)
-	}
-	if resp.Cluster == nil {
-		return ClusterStats{}, errors.New("manager: empty cluster reply")
-	}
-	return *resp.Cluster, nil
 }

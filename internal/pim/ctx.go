@@ -38,7 +38,7 @@ type runState struct {
 	arrived  int
 	returned int
 	// errs collects the tasklets' errors in id order; fault records why the
-	// tasklets can no longer proceed (ErrDeadlock).
+	// tasklets can no longer proceed (ErrDeadlock or ErrDPUFault).
 	errs  []error
 	fault error
 }

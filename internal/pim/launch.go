@@ -188,14 +188,21 @@ func (w *worker) close() {
 type unwind struct{}
 
 // run runs the kernel on this tasklet. A tasklet unwound from Barrier or
-// Lock returns nil: its DPU's fault carries the error.
+// Lock returns nil: its DPU's fault carries the error. A kernel that panics
+// faults its DPU with ErrDPUFault wrapping the panic value, as a bad access
+// on UPMEM faults the DPU and not the host; pass then unwinds the DPU's
+// other started tasklets.
 func (c *Ctx) run() error {
 	defer func() {
-		if v := recover(); v != nil {
-			if _, ok := v.(unwind); !ok {
-				panic(v)
-			}
+		v := recover()
+		if _, ok := v.(unwind); v == nil || ok || c.st.fault != nil {
+			return
 		}
+		cause, ok := v.(error)
+		if !ok {
+			cause = fmt.Errorf("%v", v)
+		}
+		c.st.fault = fmt.Errorf("%w: tasklet %d panicked: %w", ErrDPUFault, c.id, cause)
 	}()
 	return c.st.kernel.Run(c)
 }

@@ -152,6 +152,45 @@ func TestLaunchMutexHeldAcrossBarrier(t *testing.T) {
 	}
 }
 
+// TestLaunchPanicIsDPUFault: a kernel that panics faults its DPU instead of
+// the host. Tasklet 3 of dpu 1 indexes out of range while tasklets 0-2 wait
+// at the barrier; they are unwound, the launch fails with ErrDPUFault naming
+// the DPU and wrapping the runtime error, and after a reset the rank runs
+// the next kernel.
+func TestLaunchPanicIsDPUFault(t *testing.T) {
+	var exits atomic.Int64
+	k := &Kernel{
+		Name: "oob", Tasklets: 4,
+		Run: func(ctx *Ctx) error {
+			defer exits.Add(1)
+			if ctx.DPU() == 1 && ctx.Me() == 3 {
+				var hist [4]uint32
+				hist[ctx.Me()+ctx.DPU()]++ // index 4: out of range
+			}
+			ctx.Barrier()
+			return nil
+		},
+	}
+	r := testRank(t, 2, 1<<20)
+	loadAll(t, r, k, 0, 1)
+	_, err := launchWithin(t, r, []int{0, 1})
+	if !errors.Is(err, ErrDPUFault) || !strings.HasPrefix(err.Error(), "dpu 1: ") {
+		t.Fatalf("want ErrDPUFault naming dpu 1, got %v", err)
+	}
+	var rerr runtime.Error
+	if !errors.As(err, &rerr) {
+		t.Errorf("the panic value is not wrapped: %v", err)
+	}
+	if got := exits.Load(); got != 8 {
+		t.Errorf("%d tasklets left Run, want 8", got)
+	}
+	r.Reset()
+	loadAll(t, r, markKernel, 0, 1)
+	if _, err := launchWithin(t, r, []int{0, 1}); err != nil || !ran(t, r, 0) || !ran(t, r, 1) {
+		t.Errorf("launch after a reset: %v", err)
+	}
+}
+
 // TestLaunchRejectsBadDPUList checks the list before any DPU runs.
 func TestLaunchRejectsBadDPUList(t *testing.T) {
 	for _, tc := range []struct {

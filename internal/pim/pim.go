@@ -61,5 +61,6 @@ var (
 	ErrBadDPU           = errors.New("pim: DPU index out of range")
 	ErrBusy             = errors.New("pim: rank is busy")
 	ErrDeadlock         = errors.New("pim: tasklets deadlocked")
+	ErrDPUFault         = errors.New("pim: DPU fault")
 	ErrTransferTooLarge = errors.New("pim: rank operation exceeds 4 GB")
 )

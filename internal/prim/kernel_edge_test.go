@@ -1,6 +1,9 @@
 package prim
 
 import (
+	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -18,6 +21,35 @@ func kernelRank(t *testing.T, k *pim.Kernel) *pim.Rank {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestHSTKernelWidePixelsFaultDPU: pixels wider than hstDepth index past
+// HST-L's histogram. The kernel does not check its input, as on hardware;
+// the launch fails with a DPU fault naming the DPU, and after a reset the
+// rank runs the kernel on valid input.
+func TestHSTKernelWidePixelsFaultDPU(t *testing.T) {
+	k := hstKernel("prim/hst-l", hstBinsLong, false)
+	r := kernelRank(t, k)
+	if err := r.WriteDPU(0, 0, bytes.Repeat([]byte{0xFF}, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SymbolWrite(0, "hst_n", 0, []byte{0, 4, 0, 0}); err != nil { // 1024
+		t.Fatal(err)
+	}
+	_, err := r.Launch([]int{0})
+	if !errors.Is(err, pim.ErrDPUFault) || !strings.HasPrefix(err.Error(), "dpu 0: ") {
+		t.Fatalf("launch = %v, want a DPU fault naming dpu 0", err)
+	}
+	r.Reset()
+	if err := r.LoadProgram(0, k); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SymbolWrite(0, "hst_n", 0, []byte{0, 4, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Launch([]int{0}); err != nil {
+		t.Fatalf("launch after a reset: %v", err)
+	}
 }
 
 // TestScanKernelTinyInput: fewer elements than tasklets (some tasklets get

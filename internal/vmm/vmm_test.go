@@ -13,6 +13,7 @@ import (
 	"repro/internal/hostmem"
 	"repro/internal/manager"
 	"repro/internal/pim"
+	"repro/internal/prim"
 	"repro/internal/sdk"
 	"repro/internal/upmem"
 )
@@ -430,6 +431,66 @@ func TestGuestLaunchDeadlockFails(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "dpu 0: ") || !strings.Contains(err.Error(), "deadlocked") {
 		t.Fatalf("launch = %v, want a deadlock naming dpu 0", err)
+	}
+	if err := set.Free(); err != nil {
+		t.Fatalf("free after the failed launch: %v", err)
+	}
+	other, err := NewVM(mach, mgr, Config{Name: "next", Options: Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := upmem.RunChecksum(other, upmem.ChecksumParams{DPUs: 4, BytesPerDPU: 64 << 10}); err != nil {
+		t.Fatalf("next tenant on the rank: %v", err)
+	}
+}
+
+// TestGuestKernelPanicIsDPUFault: a guest feeds prim/hst-l pixels wider than
+// its 12-bit depth, so the kernel indexes past its histogram and panics. The
+// launch must fail with a DPU fault naming dpu 0 instead of killing the host
+// process, and the next tenant must run checksum bit-exact on the same rank.
+func TestGuestKernelPanicIsDPUFault(t *testing.T) {
+	mach, mgr := testStack(t, 1)
+	if err := prim.Register(mach.Registry()); err != nil {
+		t.Fatal(err)
+	}
+	if err := upmem.Register(mach.Registry()); err != nil {
+		t.Fatal(err)
+	}
+	vm, err := NewVM(mach, mgr, Config{Name: "hostile", Options: Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := vm.AllocSet(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := set.Load("prim/hst-l"); err != nil {
+		t.Fatal(err)
+	}
+	pixels, err := vm.AllocBuffer(4 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pixels.Data {
+		pixels.Data[i] = 0xFF
+	}
+	if err := set.CopyToMRAM(0, 0, pixels, len(pixels.Data)); err != nil {
+		t.Fatal(err)
+	}
+	var n [4]byte
+	binary.LittleEndian.PutUint32(n[:], 1024)
+	if err := set.BroadcastSym("hst_n", 0, n[:]); err != nil {
+		t.Fatal(err)
+	}
+	launched := make(chan error, 1)
+	go func() { launched <- set.Launch() }()
+	select {
+	case err = <-launched:
+	case <-time.After(10 * time.Second):
+		t.Fatal("guest launch did not return within 10s")
+	}
+	if !errors.Is(err, pim.ErrDPUFault) || !strings.Contains(err.Error(), "dpu 0: ") {
+		t.Fatalf("launch = %v, want a DPU fault naming dpu 0", err)
 	}
 	if err := set.Free(); err != nil {
 		t.Fatalf("free after the failed launch: %v", err)
