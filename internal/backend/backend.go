@@ -62,7 +62,9 @@ type Backend struct {
 
 	// Observability (nil-safe until SetObs): deserialized rows, translated
 	// pages, copied bytes per engine, applied batch records, simulator
-	// failovers, and pool shards dispatched.
+	// failovers, and pool shards dispatched. reg also holds the DPU fault
+	// counter, which handleLaunch registers at the first fault.
+	reg           *obs.Registry
 	rec           *obs.Recorder
 	cRows         *obs.Counter
 	cPages        *obs.Counter
@@ -114,6 +116,7 @@ func New(id string, mach *pim.Machine, mgr manager.RankManager, mem *hostmem.Mem
 // the engine name so the C and Rust paths stay distinguishable.
 func (b *Backend) SetObs(reg *obs.Registry, rec *obs.Recorder) {
 	tag := "#" + b.id
+	b.reg = reg
 	b.rec = rec
 	b.cRows = reg.Counter("backend.deser.rows" + tag)
 	b.cPages = reg.Counter("backend.deser.pages" + tag)
@@ -465,6 +468,11 @@ func (b *Backend) handleLaunch(req virtio.Request, status []byte, tl *simtime.Ti
 	}
 	res, err := b.rank.Launch(dpus)
 	if err != nil {
+		if errors.Is(err, pim.ErrDPUFault) || errors.Is(err, pim.ErrDeadlock) {
+			// Registered at the first fault, so the counter snapshot of a
+			// fault-free run does not list it.
+			b.reg.Counter("backend.dpu.faults#" + b.id).Inc()
+		}
 		return err
 	}
 	tl.Advance(b.model.LaunchFixed)

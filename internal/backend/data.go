@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/hostmem"
@@ -93,9 +94,10 @@ func (b *Backend) handleData(req virtio.Request, chain *virtio.Chain, tl *simtim
 
 // handleBcast executes a broadcast write: the chain carries one payload row
 // plus a fan-out descriptor, and the row's bytes replicate onto every listed
-// DPU. The guest pages are deserialized and translated once — that is the
-// whole saving — while the rank-side byte movement pays the full replicated
-// cost, exactly as the per-DPU path would.
+// DPU. The guest pages are deserialized and translated once, and
+// Rank.WriteDPUs stores the payload once; the virtual clock still charges
+// the full replicated rank-side byte movement, exactly as the per-DPU path
+// would.
 func (b *Backend) handleBcast(req virtio.Request, chain *virtio.Chain, tl *simtime.Timeline) error {
 	descs := chain.Descs
 	// hdr + matrix meta + row meta + page buffer + fan-out + status.
@@ -351,27 +353,77 @@ func (b *Backend) forEachSegment(r row, fn func(host []byte, mramOff int64) erro
 	return nil
 }
 
+// writeShared stores one row's guest bytes onto every listed DPU with
+// Rank.WriteDPUs, so the rank stores them once. When the row's pages are
+// consecutive pages of one guest allocation, as the pages of every buffer
+// the guest SDK allocates are, the row is one host slice and one WriteDPUs;
+// otherwise each segment of the page walk is one WriteDPUs.
+func (b *Backend) writeShared(r row, dpus []int) error {
+	if r.size == 0 {
+		return nil
+	}
+	// Deserialization checked that the pages cover the row.
+	pages := r.pages[:(r.firstOff+r.size+hostmem.PageSize-1)/hostmem.PageSize]
+	contiguous := pages[0]%hostmem.PageSize == 0
+	for i := 1; contiguous && i < len(pages); i++ {
+		contiguous = pages[i] == pages[0]+uint64(i)*hostmem.PageSize
+	}
+	if contiguous {
+		if host, err := b.mem.Slice(pages[0], len(pages)*hostmem.PageSize); err == nil {
+			return b.rank.WriteDPUs(dpus, r.mramOff, host[r.firstOff:r.firstOff+r.size])
+		}
+	}
+	return b.forEachSegment(r, func(host []byte, mramOff int64) error {
+		return b.rank.WriteDPUs(dpus, mramOff, host)
+	})
+}
+
+// sameSource reports whether every row writes the same guest bytes to the
+// same MRAM offset, as a push of one buffer to many DPUs does, and lists
+// the rows' DPUs.
+func sameSource(rows []row) ([]int, bool) {
+	if len(rows) < 2 {
+		return nil, false
+	}
+	first := rows[0]
+	dpus := make([]int, len(rows))
+	for i, r := range rows {
+		if r.size != first.size || r.mramOff != first.mramOff || r.firstOff != first.firstOff ||
+			!slices.Equal(r.pages, first.pages) {
+			return nil, false
+		}
+		dpus[i] = r.dpu
+	}
+	return dpus, true
+}
+
 // copyRows moves each row between guest pages and MRAM. The virtual
 // duration models the backend's 8 operation threads (one PIM chip at a
 // time); the actual translation and byte movement shards across the host
 // worker pool — rows address disjoint DPUs, whose MRAM ranges never
 // overlap, so the copies commute and the result is bit-identical to the
-// sequential walk.
+// sequential walk. Write rows that all carry the same guest bytes are
+// stored once (writeShared).
 func (b *Backend) copyRows(op virtio.Op, rows []row, tl *simtime.Timeline) error {
 	if err := b.consultFaults(rows); err != nil {
 		return err
 	}
-	err := b.runRows(len(rows), func(i int) error {
-		r := rows[i]
-		if op == virtio.OpWriteRank {
+	var err error
+	if dpus, ok := sameSource(rows); ok && op == virtio.OpWriteRank {
+		err = b.writeShared(rows[0], dpus)
+	} else {
+		err = b.runRows(len(rows), func(i int) error {
+			r := rows[i]
+			if op == virtio.OpWriteRank {
+				return b.forEachSegment(r, func(host []byte, mramOff int64) error {
+					return b.rank.WriteDPU(r.dpu, mramOff, host)
+				})
+			}
 			return b.forEachSegment(r, func(host []byte, mramOff int64) error {
-				return b.rank.WriteDPU(r.dpu, mramOff, host)
+				return b.rank.ReadDPU(r.dpu, mramOff, host)
 			})
-		}
-		return b.forEachSegment(r, func(host []byte, mramOff int64) error {
-			return b.rank.ReadDPU(r.dpu, mramOff, host)
 		})
-	})
+	}
 	if err != nil {
 		return err
 	}
@@ -386,17 +438,9 @@ func (b *Backend) copyRows(op virtio.Op, rows []row, tl *simtime.Timeline) error
 	return nil
 }
 
-// bcastSeg is one translated segment of the broadcast payload: the host
-// slice and the MRAM offset it lands at on every fan-out target.
-type bcastSeg struct {
-	host    []byte
-	mramOff int64
-}
-
-// copyBcast replicates one row's guest bytes onto every fan-out target. The
+// copyBcast stores one row's guest bytes onto every fan-out target. The
 // guest pages are translated once (the deduplication the broadcast wire
-// shape exists for); the replication itself shards across the host worker
-// pool like regular rows — targets are distinct DPUs, so the writes commute.
+// shape exists for), and the rank stores the bytes once (writeShared).
 // Fault hooks are consulted in a sequential prologue (fan-out order, then
 // the payload's page walk) so seeded chaos plans replay deterministically.
 func (b *Backend) copyBcast(r row, ids []uint32, tl *simtime.Timeline) error {
@@ -410,22 +454,11 @@ func (b *Backend) copyBcast(r row, ids []uint32, tl *simtime.Timeline) error {
 			return err
 		}
 	}
-	segs := make([]bcastSeg, 0, len(r.pages))
-	if err := b.forEachSegment(r, func(host []byte, mramOff int64) error {
-		segs = append(segs, bcastSeg{host: host, mramOff: mramOff})
-		return nil
-	}); err != nil {
-		return err
+	dpus := make([]int, len(ids))
+	for i, id := range ids {
+		dpus[i] = int(id)
 	}
-	err := b.runRows(len(ids), func(i int) error {
-		for _, s := range segs {
-			if err := b.rank.WriteDPU(int(ids[i]), s.mramOff, s.host); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := b.writeShared(r, dpus); err != nil {
 		return err
 	}
 	// The rank-side byte movement is honest: every replica pays its full

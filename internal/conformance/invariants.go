@@ -38,7 +38,9 @@ import (
 //     zero when the corresponding option is off, pipelining off means zero
 //     suppression and one kick per chain, and with the default batch
 //     geometry no record overflows the buffer, so fallbacks stay zero (the
-//     fallback path itself is exercised by BatchClipProbe).
+//     fallback path itself is exercised by BatchClipProbe);
+//   - no kernel faults: backend.dpu.faults is zero, so the containment of
+//     a kernel panic or deadlock cannot hide a bug in the repo's own runs.
 func CheckCounters(snap map[string]int64, opts vmm.Options) error {
 	get := func(name string) int64 { return snap[name] }
 	messages := get("frontend.messages")
@@ -126,6 +128,10 @@ func CheckCounters(snap map[string]int64, opts vmm.Options) error {
 	if !opts.Bcast && collapsed+rowsSaved+fanout != 0 {
 		return fmt.Errorf("invariant: broadcast disabled but bcast counters %d/%d/%d",
 			collapsed, rowsSaved, fanout)
+	}
+
+	if faults := get("backend.dpu.faults"); faults != 0 {
+		return fmt.Errorf("invariant: %d DPU faults", faults)
 	}
 	return nil
 }

@@ -84,20 +84,46 @@ func LoadProgram(rank *pim.Rank, registry *pim.Registry, name string, model cost
 	return nil
 }
 
-// WriteRank implements sdk.Device: an interleaving scatter of each entry
-// into its DPU's MRAM, parallelized across the SDK's transfer threads.
+// WriteRank implements sdk.Device: it copies each entry into its DPU's MRAM
+// bank, and entries that all share one buffer are stored once with one
+// Rank.WriteDPUs. The cost model charges the rank's interleaving scatter,
+// parallelized across the SDK's transfer threads.
 func (d *Device) WriteRank(entries []sdk.DPUXfer, off int64, length int, tl *simtime.Timeline) error {
 	var err error
 	tl.Span(trace.OpWriteRank, func(tl *simtime.Timeline) {
-		for _, e := range entries {
-			if werr := d.rank.WriteDPU(e.DPU, off, e.Buf.Data[:length]); werr != nil {
-				err = fmt.Errorf("write dpu %d: %w", e.DPU, werr)
+		if dpus := sharedBuffer(entries, length); dpus != nil {
+			if werr := d.rank.WriteDPUs(dpus, off, entries[0].Buf.Data[:length]); werr != nil {
+				err = fmt.Errorf("write dpus: %w", werr)
 				return
+			}
+		} else {
+			for _, e := range entries {
+				if werr := d.rank.WriteDPU(e.DPU, off, e.Buf.Data[:length]); werr != nil {
+					err = fmt.Errorf("write dpu %d: %w", e.DPU, werr)
+					return
+				}
 			}
 		}
 		tl.Advance(d.model.RankOpDuration(cost.EngineC, uniformSizes(len(entries), length)))
 	})
 	return err
+}
+
+// sharedBuffer lists the entries' DPUs when every entry pushes the same
+// buffer, and returns nil otherwise.
+func sharedBuffer(entries []sdk.DPUXfer, length int) []int {
+	if len(entries) < 2 || length == 0 {
+		return nil
+	}
+	src := &entries[0].Buf.Data[:length][0]
+	dpus := make([]int, len(entries))
+	for i, e := range entries {
+		if &e.Buf.Data[:length][0] != src {
+			return nil
+		}
+		dpus[i] = e.DPU
+	}
+	return dpus
 }
 
 // ReadRank implements sdk.Device.

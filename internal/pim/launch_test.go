@@ -289,8 +289,8 @@ func mixKernel(name string, tasklets int) *Kernel {
 			if err := ctx.MRAMWrite(acc, int64(n+n%2)*4); err != nil {
 				return err
 			}
-			// Every DPU's block at 512 KiB lies in one uncommitted chunk,
-			// so DPUs on different workers race to commit it.
+			// The block at 512 KiB lies in an uncommitted chunk of each
+			// DPU's bank, so DPUs on different workers commit concurrently.
 			if err := ctx.MRAMWrite(acc, 512<<10); err != nil {
 				return err
 			}

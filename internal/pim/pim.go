@@ -1,14 +1,17 @@
 // Package pim models the UPMEM processing-in-memory hardware: ranks of DRAM
 // Processing Units (DPUs), their MRAM/WRAM/IRAM memories, the control
-// interface (CI), the rank-level byte interleaving, and the execution of DPU
-// programs on tasklets.
+// interface (CI), and the execution of DPU programs on tasklets.
 //
 // The model is functional: bytes written through the host interface really
-// land in the rank's interleaved physical storage and DPU kernels really
-// compute on them, so every application result can be checked against a CPU
-// reference. Timing is virtual: kernels account instruction cycles and DMA
-// transfers, and Launch converts them into a virtual duration using the
-// calibrated cost model.
+// land in the DPUs' MRAM banks and DPU kernels really compute on them, so
+// every application result can be checked against a CPU reference. Each
+// bank is a table of copy-on-write chunks, so a push of one buffer to many
+// DPUs, and a snapshot, store their bytes once. Timing is virtual: kernels
+// account instruction cycles and DMA transfers, and Launch converts them
+// into a virtual duration using the calibrated cost model. The rank-level
+// byte interleaving is charged by the cost model, not performed; the rank
+// tracks only the interleaved layout's footprint, which checkpoint and
+// restore charges depend on.
 //
 // Hardware parameters follow Section 2 of the paper: a rank has 64 DPUs in 8
 // chips of 8; each DPU has a 64 MB MRAM bank, 64 KB WRAM, 24 KB IRAM and

@@ -46,14 +46,14 @@ func TestRankDPUIsolation(t *testing.T) {
 		}
 		for i, b := range got {
 			if b != byte(d+1) {
-				t.Fatalf("dpu %d byte %d = %d: interleaving leaked across DPUs", d, i, b)
+				t.Fatalf("dpu %d byte %d = %d: a write leaked across DPUs", d, i, b)
 			}
 		}
 	}
 }
 
-// Property: interleaved storage behaves as an independent flat memory per
-// DPU for arbitrary offsets and sizes.
+// Property: rank storage behaves as an independent flat memory per DPU for
+// arbitrary offsets and sizes.
 func TestRankInterleaveProperty(t *testing.T) {
 	r := testRank(t, 8, 1<<20)
 	rng := rand.New(rand.NewSource(42))

@@ -1,6 +1,7 @@
 package pim
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -18,12 +19,6 @@ type RankConfig struct {
 	DPUs int
 	// MRAMBytes is the per-DPU MRAM bank size.
 	MRAMBytes int64
-	// InterleaveBlock is the rank interleaving granularity in bytes. The
-	// real hardware interleaves bytes across the 8 chips; we interleave at
-	// DMA-burst granularity, which preserves the property that host copies
-	// must gather/scatter with a stride (the work the C/AVX512 engine does)
-	// while staying fast enough to move gigabytes on a laptop-class host.
-	InterleaveBlock int
 	// FrequencyMHz is informational (exposed through device config).
 	FrequencyMHz int
 }
@@ -34,9 +29,6 @@ func (c RankConfig) withDefaults() RankConfig {
 	}
 	if c.MRAMBytes == 0 {
 		c.MRAMBytes = DefaultMRAMBytes
-	}
-	if c.InterleaveBlock == 0 || physChunkBytes%c.InterleaveBlock != 0 {
-		c.InterleaveBlock = MaxDMABytes
 	}
 	if c.FrequencyMHz == 0 {
 		c.FrequencyMHz = 350
@@ -54,44 +46,72 @@ type CIStats struct {
 // Ops reports the number of CI operations issued so far.
 func (s *CIStats) Ops() int64 { return s.ops.Load() }
 
-// dpuState is the per-DPU mutable state: loaded program and host symbols.
+// dpuState is the per-DPU mutable state: the MRAM bank, and the loaded
+// program and host symbols, which mu guards.
 type dpuState struct {
+	bank    atomic.Pointer[bank]
 	mu      sync.Mutex
 	kernel  *Kernel
 	symbols map[string][]byte
 }
 
-// physChunkBytes is the lazy-commit granularity of rank physical storage: a
-// rank's full bank array (up to 4 GB) is only backed where it has actually
-// been written, so machines with many 64 MB-per-DPU ranks fit in laptop RAM.
-const physChunkBytes = 1 << 20
+// chunkBytes is the granularity at which a DPU's MRAM bank is backed: a
+// bank (up to 64 MB) holds chunks only where it has been written, so
+// machines with many ranks fit in host RAM. At 64 KiB a push of a few
+// hundred KiB covers whole chunks, which WriteDPUs stores once for every
+// target, and a 64 MB bank's table is 8 KiB of pointers.
+const chunkBytes = 64 << 10
 
-// physChunk is the bytes of one committed chunk of a rank's physical storage.
-type physChunk = [physChunkBytes]byte
+// chunkData is the bytes of one chunk.
+type chunkData = [chunkBytes]byte
 
-// chunk is one committed chunk. A checkpoint marks it shared and hands the
-// same pointer to the snapshot; a shared chunk's bytes never change again, so
-// one snapshot may be restored any number of times, on any rank.
+// chunk is one backed chunk of a bank. A shared chunk is held by more than
+// one bank, or by a bank a snapshot holds; its bytes never change again, and
+// a write to it copies them first.
 type chunk struct {
-	data   *physChunk
+	data   *chunkData
 	shared atomic.Bool
 }
 
-// Rank models one UPMEM rank: the interleaved physical storage backing all
-// DPU MRAM banks, the per-DPU program state, and the control interface.
+// bank is one DPU's MRAM: a table of chunks, nil where never written. A
+// shared bank is held by a snapshot and never changes again; the DPU's next
+// write copies the table first.
+type bank struct {
+	chunks []atomic.Pointer[chunk]
+	shared atomic.Bool
+}
+
+// at returns chunk i, or nil where the bank was never written.
+func (b *bank) at(i int) *chunk {
+	if b == nil {
+		return nil
+	}
+	return b.chunks[i].Load()
+}
+
+// The hardware interleaves a rank's banks across its chips: logical block k
+// of DPU d sits at physical block k*DPUs + d, MaxDMABytes each. The
+// simulator does not perform the interleave; the cost model charges it.
+// Checkpoint and restore cost what the interleaved layout would have
+// committed, in footprintChunkBytes chunks, so the rank keeps one footprint
+// bit per such chunk.
+const footprintChunkBytes = 1 << 20
+
+// Rank models one UPMEM rank: the DPUs' MRAM banks, the per-DPU program
+// state, and the control interface.
 type Rank struct {
 	cfg   RankConfig
 	index int
 	model cost.Model
 
-	// chunks lazily back the rank's physical byte array. Logical MRAM byte
-	// i of DPU d lives at physical offset interleave(d, i); see
-	// (*Rank).physRange. A write to a private chunk takes no lock, so DMAs
-	// of concurrently running DPUs do not contend. The first write to a nil
-	// or shared chunk commits a private one under commitMu. Reads of
+	// A write to a private chunk of a private bank takes no lock, so DMAs
+	// of concurrently running DPUs do not contend. A write to a nil or
+	// shared chunk or bank commits a private one under commitMu. Reads of
 	// never-written chunks observe zeros without allocating.
-	chunks   []atomic.Pointer[chunk]
 	commitMu sync.Mutex
+	// footprint holds one bit per footprintChunkBytes chunk of the
+	// interleaved layout, set by the first write that lands in it.
+	footprint []atomic.Uint64
 
 	dpus []dpuState
 	ci   CIStats
@@ -101,60 +121,104 @@ type Rank struct {
 // NewRank builds a rank with the given configuration and cost model.
 func NewRank(index int, cfg RankConfig, model cost.Model) *Rank {
 	cfg = cfg.withDefaults()
-	total := int64(cfg.DPUs) * cfg.MRAMBytes
-	nChunks := (total + physChunkBytes - 1) / physChunkBytes
+	blocks := (cfg.MRAMBytes + MaxDMABytes - 1) / MaxDMABytes
+	chunks := (blocks*int64(cfg.DPUs)*MaxDMABytes + footprintChunkBytes - 1) / footprintChunkBytes
 	return &Rank{
-		cfg:    cfg,
-		index:  index,
-		model:  model,
-		chunks: make([]atomic.Pointer[chunk], nChunks),
-		dpus:   make([]dpuState, cfg.DPUs),
+		cfg:       cfg,
+		index:     index,
+		model:     model,
+		footprint: make([]atomic.Uint64, (chunks+63)/64),
+		dpus:      make([]dpuState, cfg.DPUs),
 	}
 }
 
-// physWrite returns a writable slice for physical bytes [off, off+n), which
-// must not cross a chunk boundary. A nil or shared chunk is first replaced
-// by a private one (copy on write).
-func (r *Rank) physWrite(off int64, n int64) []byte {
-	p := &r.chunks[off/physChunkBytes]
-	c := p.Load()
-	if c == nil || c.shared.Load() {
-		c = r.commit(p)
+// touch sets the footprint bits of an n-byte write at off to DPU d.
+func (r *Rank) touch(d int, off int64, n int) {
+	last := int64(-1)
+	for k := off / MaxDMABytes; n > 0 && k <= (off+int64(n)-1)/MaxDMABytes; k++ {
+		c := (k*int64(r.cfg.DPUs) + int64(d)) * MaxDMABytes / footprintChunkBytes
+		if c == last {
+			continue
+		}
+		last = c
+		// A CAS loop, since atomic.Uint64.Or needs a newer go line.
+		w, bit := &r.footprint[c/64], uint64(1)<<(c%64)
+		for old := w.Load(); old&bit == 0 && !w.CompareAndSwap(old, old|bit); old = w.Load() {
+		}
 	}
-	in := off % physChunkBytes
-	return c.data[in : in+n]
 }
 
-// commit installs a private chunk in slot p: zeroed where p holds none, a
-// copy of the shared bytes otherwise. Racing writers check again under the
-// lock, so one chunk is committed and every writer gets it.
-func (r *Rank) commit(p *atomic.Pointer[chunk]) *chunk {
+// ownBank returns DPU d's private bank: a new one on the DPU's first write,
+// a copy of the table on its first write after a snapshot shared it. The
+// copy marks its chunks shared, since the snapshot holds them too. The
+// caller holds commitMu.
+func (r *Rank) ownBank(d int) *bank {
+	p := &r.dpus[d].bank
+	old := p.Load()
+	if old != nil && !old.shared.Load() {
+		return old
+	}
+	b := &bank{chunks: make([]atomic.Pointer[chunk], (r.cfg.MRAMBytes+chunkBytes-1)/chunkBytes)}
+	if old != nil {
+		for i := range old.chunks {
+			if c := old.chunks[i].Load(); c != nil {
+				c.shared.Store(true)
+				b.chunks[i].Store(c)
+			}
+		}
+	}
+	p.Store(b)
+	return b
+}
+
+// newChunk returns a private chunk holding base's bytes, zeros where base is
+// nil, with part copied in at in. A part that covers the chunk whole is the
+// chunk: it is copied once, without zeroing.
+func newChunk(base *chunk, in int, part []byte) *chunk {
+	if len(part) == chunkBytes {
+		return &chunk{data: (*chunkData)(bytes.Clone(part))}
+	}
+	var data []byte
+	if base == nil {
+		data = make([]byte, chunkBytes)
+	} else {
+		data = bytes.Clone(base.data[:])
+	}
+	copy(data[in:], part)
+	return &chunk{data: (*chunkData)(data)}
+}
+
+// writeChunk copies part into chunk i of DPU d at in, committing a private
+// chunk first where the DPU holds a nil or shared one (copy on write).
+// Racing writers check again under the lock, so one chunk is committed and
+// every write lands in it.
+func (r *Rank) writeChunk(d, i, in int, part []byte) {
+	if b := r.dpus[d].bank.Load(); b != nil && !b.shared.Load() {
+		if c := b.chunks[i].Load(); c != nil && !c.shared.Load() {
+			copy(c.data[in:], part)
+			return
+		}
+	}
 	r.commitMu.Lock()
 	defer r.commitMu.Unlock()
-	c := p.Load()
-	switch {
-	case c == nil:
-		c = &chunk{data: new(physChunk)}
-	case c.shared.Load():
-		// append allocates without zeroing the bytes it then overwrites,
-		// unlike new followed by copy.
-		c = &chunk{data: (*physChunk)(append([]byte(nil), c.data[:]...))}
-	default:
-		return c
+	slot := &r.ownBank(d).chunks[i]
+	if c := slot.Load(); c == nil || c.shared.Load() {
+		slot.Store(newChunk(c, in, part))
+	} else {
+		copy(c.data[in:], part) // a racing writer committed it first
 	}
-	p.Store(c)
-	return c
 }
 
-// physRead returns a read-only slice for physical bytes [off, off+n), or
-// nil when the chunk has never been written (all zeros).
-func (r *Rank) physRead(off int64, n int64) []byte {
-	c := r.chunks[off/physChunkBytes].Load()
-	if c == nil {
-		return nil
+// shareChunk installs one shared chunk holding part, which covers chunk i
+// whole, as chunk i of every listed DPU.
+func (r *Rank) shareChunk(dpus []int, i int, part []byte) {
+	c := newChunk(nil, 0, part)
+	c.shared.Store(true)
+	r.commitMu.Lock()
+	defer r.commitMu.Unlock()
+	for _, d := range dpus {
+		r.ownBank(d).chunks[i].Store(c)
 	}
-	in := off % physChunkBytes
-	return c.data[in : in+n]
 }
 
 // Index reports the rank's position on the host machine.
@@ -198,56 +262,76 @@ func (r *Rank) checkAccess(d int, off int64, n int) error {
 	return nil
 }
 
-// physRange iterates the physical byte ranges covering logical bytes
-// [off, off+n) of DPU d, calling fn with each range's physical offset and
-// length. Interleaving places logical block k of DPU d at physical block
-// k*DPUs + d; ranges never cross an interleave block, hence never a commit
-// chunk either.
-func (r *Rank) physRange(d int, off int64, n int, fn func(physOff, length int64)) {
-	blockSize := int64(r.cfg.InterleaveBlock)
-	stride := int64(r.cfg.DPUs)
-	for n > 0 {
-		block := off / blockSize
-		inBlock := off % blockSize
-		chunk := blockSize - inBlock
-		if int64(n) < chunk {
-			chunk = int64(n)
-		}
-		fn((block*stride+int64(d))*blockSize+inBlock, chunk)
-		off += chunk
-		n -= int(chunk)
+// spans calls fn for each chunk that n bytes at off touch: the chunk's
+// index i, the offset in it, and the part [lo, hi) of the n bytes that
+// lands there.
+func spans(off int64, n int, fn func(i, in, lo, hi int)) {
+	for lo := 0; lo < n; {
+		i, in := int((off+int64(lo))/chunkBytes), int((off+int64(lo))%chunkBytes)
+		hi := min(n, lo+chunkBytes-in)
+		fn(i, in, lo, hi)
+		lo = hi
 	}
 }
 
-// WriteDPU copies src into DPU d's MRAM at off, performing the interleaving
-// scatter. This is the functional core of a host write-to-rank; virtual copy
-// time is charged by the caller because it depends on the copy engine.
+// WriteDPU copies src into DPU d's MRAM at off. This is the functional core
+// of a host write-to-rank; virtual copy time, interleave included, is
+// charged by the caller because it depends on the copy engine.
 func (r *Rank) WriteDPU(d int, off int64, src []byte) error {
 	if err := r.checkAccess(d, off, len(src)); err != nil {
 		return err
 	}
-	pos := int64(0)
-	r.physRange(d, off, len(src), func(physOff, length int64) {
-		copy(r.physWrite(physOff, length), src[pos:pos+length])
-		pos += length
+	r.touch(d, off, len(src))
+	spans(off, len(src), func(i, in, lo, hi int) { r.writeChunk(d, i, in, src[lo:hi]) })
+	return nil
+}
+
+// WriteDPUs copies src into the MRAM of every listed DPU at off: the effect
+// of one WriteDPU per listed DPU, but a chunk the write covers whole is
+// built once from src and shared by every DPU; a partly covered chunk is
+// written per DPU. A later write to a shared chunk copies it first. Every
+// access is checked before any byte moves, so a failed WriteDPUs writes
+// nothing.
+func (r *Rank) WriteDPUs(dpus []int, off int64, src []byte) error {
+	for _, d := range dpus {
+		if err := r.checkAccess(d, off, len(src)); err != nil {
+			return err
+		}
+	}
+	switch len(dpus) {
+	case 0:
+		return nil
+	case 1:
+		return r.WriteDPU(dpus[0], off, src)
+	}
+	for _, d := range dpus {
+		r.touch(d, off, len(src))
+	}
+	spans(off, len(src), func(i, in, lo, hi int) {
+		if hi-lo == chunkBytes {
+			r.shareChunk(dpus, i, src[lo:hi])
+			return
+		}
+		for _, d := range dpus {
+			r.writeChunk(d, i, in, src[lo:hi])
+		}
 	})
 	return nil
 }
 
-// ReadDPU copies DPU d's MRAM at off into dst, performing the interleaving
-// gather. Never-written regions read as zeros.
+// ReadDPU copies DPU d's MRAM at off into dst. Never-written regions read as
+// zeros.
 func (r *Rank) ReadDPU(d int, off int64, dst []byte) error {
 	if err := r.checkAccess(d, off, len(dst)); err != nil {
 		return err
 	}
-	pos := int64(0)
-	r.physRange(d, off, len(dst), func(physOff, length int64) {
-		if phys := r.physRead(physOff, length); phys != nil {
-			copy(dst[pos:pos+length], phys)
+	b := r.dpus[d].bank.Load()
+	spans(off, len(dst), func(i, in, lo, hi int) {
+		if c := b.at(i); c != nil {
+			copy(dst[lo:hi], c.data[in:])
 		} else {
-			clear(dst[pos : pos+length])
+			clear(dst[lo:hi])
 		}
-		pos += length
 	})
 	return nil
 }
@@ -327,18 +411,19 @@ func (r *Rank) symbol(d int, name string, off, n int) ([]byte, error) {
 	return buf[off : off+n], nil
 }
 
-// Reset zeroes the rank's entire physical memory and clears loaded programs.
-// The manager calls this between tenants (NANA -> NAAV transition).
+// Reset zeroes the rank's entire memory and clears loaded programs. The
+// manager calls this between tenants (NANA -> NAAV transition).
 func (r *Rank) Reset() {
-	for i := range r.chunks {
-		r.chunks[i].Store(nil) // drop the chunk: it reads as zero
-	}
 	for d := range r.dpus {
 		st := &r.dpus[d]
+		st.bank.Store(nil) // drop the bank: it reads as zero
 		st.mu.Lock()
 		st.kernel = nil
 		st.symbols = nil
 		st.mu.Unlock()
+	}
+	for i := range r.footprint {
+		r.footprint[i].Store(0)
 	}
 }
 

@@ -2,6 +2,7 @@ package pim
 
 import (
 	"bytes"
+	"math/bits"
 	"time"
 
 	"repro/internal/cost"
@@ -14,38 +15,42 @@ import (
 // checkpoint-restore mechanisms could enable dynamic workload
 // consolidation").
 type Snapshot struct {
-	dpus      int
 	mramBytes int64
-	chunks    []*chunk
-	programs  []*Kernel
-	symbols   []map[string][]byte
+	dpus      []dpuSnapshot
+	footprint []uint64
+}
+
+// dpuSnapshot is one DPU's captured state.
+type dpuSnapshot struct {
+	bank    *bank
+	program *Kernel
+	symbols map[string][]byte
 }
 
 // DPUs reports the snapshot's DPU count.
-func (s *Snapshot) DPUs() int { return s.dpus }
+func (s *Snapshot) DPUs() int { return len(s.dpus) }
 
 // MRAMBytes reports the snapshot's per-DPU MRAM size.
 func (s *Snapshot) MRAMBytes() int64 { return s.mramBytes }
 
-// CommittedBytes reports how much MRAM data the snapshot actually carries
-// (the checkpoint cost is proportional to it).
+// CommittedBytes reports how much MRAM data the snapshot carries, counted
+// as the chunks the rank's interleaved physical layout commits (the
+// checkpoint cost is proportional to it).
 func (s *Snapshot) CommittedBytes() int64 {
-	var n int64
-	for _, c := range s.chunks {
-		if c != nil {
-			n += physChunkBytes
-		}
+	var n int
+	for _, w := range s.footprint {
+		n += bits.OnesCount64(w)
 	}
-	return n
+	return int64(n) * footprintChunkBytes
 }
 
 // Checkpoint captures the rank's state. The rank must be idle (no launch in
 // flight); UPMEM cannot pause a running task, so checkpoints happen between
 // launches. The returned duration is the virtual copy cost.
 //
-// The snapshot shares the rank's MRAM chunks instead of copying them: each
-// committed chunk is marked shared, and the rank's next write to it copies
-// the bytes first. The host work is O(chunks); the virtual clock still
+// The snapshot shares the DPUs' MRAM banks instead of copying them: each
+// bank is marked shared, and a DPU's next write copies its table, then the
+// chunk it writes. The host work is O(DPUs); the virtual clock still
 // charges the full copy the hardware would make.
 func (r *Rank) Checkpoint() (*Snapshot, time.Duration, error) {
 	if !r.busy.CompareAndSwap(false, true) {
@@ -54,23 +59,21 @@ func (r *Rank) Checkpoint() (*Snapshot, time.Duration, error) {
 	defer r.busy.Store(false)
 
 	snap := &Snapshot{
-		dpus:      r.cfg.DPUs,
 		mramBytes: r.cfg.MRAMBytes,
-		symbols:   make([]map[string][]byte, r.cfg.DPUs),
-		programs:  make([]*Kernel, r.cfg.DPUs),
+		dpus:      make([]dpuSnapshot, r.cfg.DPUs),
+		footprint: make([]uint64, len(r.footprint)),
 	}
-	snap.chunks = make([]*chunk, len(r.chunks))
-	for i := range r.chunks {
-		if c := r.chunks[i].Load(); c != nil {
-			c.shared.Store(true)
-			snap.chunks[i] = c
-		}
+	for i := range r.footprint {
+		snap.footprint[i] = r.footprint[i].Load()
 	}
 	for d := range r.dpus {
-		st := &r.dpus[d]
+		st, ds := &r.dpus[d], &snap.dpus[d]
+		if ds.bank = st.bank.Load(); ds.bank != nil {
+			ds.bank.shared.Store(true)
+		}
 		st.mu.Lock()
-		snap.programs[d] = st.kernel
-		snap.symbols[d] = cloneSymbols(st.symbols)
+		ds.program = st.kernel
+		ds.symbols = cloneSymbols(st.symbols)
 		st.mu.Unlock()
 	}
 	return snap, r.model.CopyDuration(cost.EngineC, snap.CommittedBytes()), nil
@@ -78,10 +81,10 @@ func (r *Rank) Checkpoint() (*Snapshot, time.Duration, error) {
 
 // Restore installs a snapshot onto this rank (the destination of a
 // migration). The geometries must match. The returned duration is the
-// virtual copy cost. The rank takes the snapshot's shared chunks, and a
+// virtual copy cost. The rank takes the snapshot's shared banks, and a
 // chunk the snapshot lacks reads as zeros whatever the rank held there.
 func (r *Rank) Restore(snap *Snapshot) (time.Duration, error) {
-	if snap.dpus != r.cfg.DPUs || snap.mramBytes != r.cfg.MRAMBytes {
+	if len(snap.dpus) != r.cfg.DPUs || snap.mramBytes != r.cfg.MRAMBytes {
 		return 0, ErrOutOfRange
 	}
 	if !r.busy.CompareAndSwap(false, true) {
@@ -89,14 +92,15 @@ func (r *Rank) Restore(snap *Snapshot) (time.Duration, error) {
 	}
 	defer r.busy.Store(false)
 
-	for i, c := range snap.chunks {
-		r.chunks[i].Store(c)
+	for i, w := range snap.footprint {
+		r.footprint[i].Store(w)
 	}
 	for d := range r.dpus {
-		st := &r.dpus[d]
+		st, ds := &r.dpus[d], &snap.dpus[d]
+		st.bank.Store(ds.bank)
 		st.mu.Lock()
-		st.kernel = snap.programs[d]
-		st.symbols = cloneSymbols(snap.symbols[d])
+		st.kernel = ds.program
+		st.symbols = cloneSymbols(ds.symbols)
 		st.mu.Unlock()
 	}
 	return r.model.CopyDuration(cost.EngineC, snap.CommittedBytes()), nil

@@ -316,23 +316,28 @@ func TestCheckpointTwice(t *testing.T) {
 	}
 }
 
-// TestChunkCommitAllocatesOnce has many goroutines first-touch one fresh
-// chunk, and then one chunk a snapshot shares. Each case must allocate
-// exactly one chunk, and every write must land in it.
+// TestChunkCommitAllocatesOnce has goroutines first-touch disjoint ranges
+// of one DPU's chunk: a fresh chunk, and then one a snapshot shares. Each
+// case must allocate exactly one chunk, and every write must land in it.
 func TestChunkCommitAllocatesOnce(t *testing.T) {
-	const dpus = 32 // 32 DPUs x 32 KiB: the rank is one chunk
-	r := testRank(t, dpus, physChunkBytes/dpus)
+	const writers = 32
+	const part = chunkBytes / writers
+	r := testRank(t, 2, chunkBytes) // one chunk per DPU
 	race := func(what string, fill byte) {
 		t.Helper()
+		srcs := make([][]byte, writers)
+		for g := range srcs {
+			srcs[g] = bytes.Repeat([]byte{fill + byte(g)}, part)
+		}
 		start := make(chan struct{})
 		var wg sync.WaitGroup
-		errs := make([]error, dpus)
-		for d := 0; d < dpus; d++ {
+		errs := make([]error, writers)
+		for g := range writers {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				<-start
-				errs[d] = r.WriteDPU(d, 0, bytes.Repeat([]byte{fill + byte(d)}, 64))
+				errs[g] = r.WriteDPU(1, int64(g*part), srcs[g])
 			}()
 		}
 		var before, after runtime.MemStats
@@ -340,20 +345,20 @@ func TestChunkCommitAllocatesOnce(t *testing.T) {
 		close(start)
 		wg.Wait()
 		runtime.ReadMemStats(&after)
-		if n := (after.TotalAlloc - before.TotalAlloc) / physChunkBytes; n != 1 {
-			t.Errorf("%s: %d MiB chunks allocated, want 1", what, n)
+		if n := (after.TotalAlloc - before.TotalAlloc) / chunkBytes; n != 1 {
+			t.Errorf("%s: %d chunks allocated, want 1", what, n)
 		}
-		got := make([]byte, 64)
-		for d := 0; d < dpus; d++ {
-			if errs[d] != nil {
-				t.Fatal(errs[d])
+		for g := range writers {
+			if errs[g] != nil {
+				t.Fatal(errs[g])
 			}
-			if err := r.ReadDPU(d, 0, got); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, bytes.Repeat([]byte{fill + byte(d)}, 64)) {
-				t.Errorf("%s: dpu %d lost its write", what, d)
-			}
+		}
+		got := make([]byte, chunkBytes)
+		if err := r.ReadDPU(1, 0, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, bytes.Join(srcs, nil)) {
+			t.Errorf("%s: a write did not land", what)
 		}
 	}
 	race("fresh chunk", 0x10)
@@ -363,16 +368,16 @@ func TestChunkCommitAllocatesOnce(t *testing.T) {
 	}
 	race("shared chunk", 0x80)
 
-	dst := testRank(t, dpus, physChunkBytes/dpus)
+	dst := testRank(t, 2, chunkBytes)
 	if _, err := dst.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]byte, 64)
-	if err := dst.ReadDPU(7, 0, got); err != nil {
+	got := make([]byte, part)
+	if err := dst.ReadDPU(1, 7*part, got); err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 0x17 {
-		t.Errorf("snapshot changed under the copy on write: dpu 7 reads %#x", got[0])
+		t.Errorf("snapshot changed under the copy on write: the chunk reads %#x", got[0])
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/hostmem"
 	"repro/internal/manager"
+	"repro/internal/obs"
 	"repro/internal/pim"
 	"repro/internal/prim"
 	"repro/internal/sdk"
@@ -491,6 +492,9 @@ func TestGuestKernelPanicIsDPUFault(t *testing.T) {
 	}
 	if !errors.Is(err, pim.ErrDPUFault) || !strings.Contains(err.Error(), "dpu 0: ") {
 		t.Fatalf("launch = %v, want a DPU fault naming dpu 0", err)
+	}
+	if n := obs.Aggregate(vm.Metrics())["backend.dpu.faults"]; n != 1 {
+		t.Errorf("backend.dpu.faults = %d, want 1", n)
 	}
 	if err := set.Free(); err != nil {
 		t.Fatalf("free after the failed launch: %v", err)
