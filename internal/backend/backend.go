@@ -56,8 +56,8 @@ type Backend struct {
 
 	// hostWorkers bounds the real host-side concurrency of the data path:
 	// how many pool workers one request's rows may shard across. 0 selects
-	// GOMAXPROCS; 1 keeps the copy path fully sequential (the deterministic
-	// twin the conformance harness compares against).
+	// GOMAXPROCS; 1 keeps the copy path sequential (the twin the
+	// conformance harness compares against).
 	hostWorkers int
 
 	// Observability (nil-safe until SetObs): deserialized rows, translated
@@ -93,8 +93,10 @@ type FaultPolicy struct {
 func (b *Backend) SetFault(p *FaultPolicy) { b.fault = p }
 
 // SetHostWorkers bounds the data path's real host concurrency: n pool
-// workers per request (0 = GOMAXPROCS, 1 = sequential). Called by the VMM
-// while realizing the device.
+// workers per request (0 = GOMAXPROCS, 1 = the copy path runs on the
+// submitting goroutine). It does not bound a launch, whose DPUs run on
+// their own workers inside pim. Called by the VMM while realizing the
+// device.
 func (b *Backend) SetHostWorkers(n int) { b.hostWorkers = n }
 
 // New wires a backend. engine selects the Rust or C copy path; loop is the

@@ -14,12 +14,18 @@ import (
 )
 
 // testBackend builds a backend with guest memory and (optionally) an
-// attached rank, for driving raw chains at the wire level.
+// attached 4-DPU rank, for driving raw chains at the wire level.
 func testBackend(t *testing.T, attach bool) (*Backend, *hostmem.Memory) {
+	t.Helper()
+	return testBackendDPUs(t, 4, attach)
+}
+
+// testBackendDPUs is testBackend over a rank of the given DPU count.
+func testBackendDPUs(t *testing.T, dpus int, attach bool) (*Backend, *hostmem.Memory) {
 	t.Helper()
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: 1,
-		Rank:  pim.RankConfig{DPUs: 4, MRAMBytes: 1 << 20},
+		Rank:  pim.RankConfig{DPUs: dpus, MRAMBytes: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)

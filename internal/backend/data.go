@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -58,14 +59,13 @@ func (s *deserScratch) release() {
 
 // handleData executes a write-to-rank, read-from-rank or broadcast write:
 // deserialize the matrix, translate guest pages, then move the data with the
-// configured copy engine, 8 DPUs at a time.
+// configured copy engine, 8 DPUs at a time. A broadcast chain has the shape
+// of a one-row write matrix, and its header's DPU mask names the DPUs the
+// row is written to.
 func (b *Backend) handleData(req virtio.Request, chain *virtio.Chain, tl *simtime.Timeline) error {
 	// Note: the driver-centric operation category (op:W-rank / op:R-rank)
 	// is recorded by the frontend, whose span covers this handler; charging
 	// it here as well would double count.
-	if req.Op == virtio.OpWriteRankBcast {
-		return b.handleBcast(req, chain, tl)
-	}
 	descs := chain.Descs
 	if len(descs) < 3 {
 		return fmt.Errorf("backend: matrix chain of %d descriptors", len(descs))
@@ -75,11 +75,21 @@ func (b *Backend) handleData(req virtio.Request, chain *virtio.Chain, tl *simtim
 		return err
 	}
 	defer sc.release()
+	var targets []int
+	if req.Op == virtio.OpWriteRankBcast {
+		if targets, err = b.bcastTargets(req.DPUMask, len(sc.rows)); err != nil {
+			return err
+		}
+		tl.Charge(trace.StepDeser, b.model.BcastFanout*simtime.Duration(len(targets)))
+	}
 	rankStart := tl.Now()
 	tl.Span(trace.StepTData, func(tl *simtime.Timeline) {
-		if req.Op == virtio.OpWriteRank && req.Offset == virtio.BatchSentinel {
+		switch {
+		case targets != nil:
+			err = b.copyBcast(sc.rows[0], targets, tl)
+		case req.Op == virtio.OpWriteRank && req.Offset == virtio.BatchSentinel:
 			err = b.applyBatch(sc.rows, tl)
-		} else {
+		default:
 			err = b.copyRows(req.Op, sc.rows, tl)
 		}
 	})
@@ -92,62 +102,25 @@ func (b *Backend) handleData(req virtio.Request, chain *virtio.Chain, tl *simtim
 	return err
 }
 
-// handleBcast executes a broadcast write: the chain carries one payload row
-// plus a fan-out descriptor, and the row's bytes replicate onto every listed
-// DPU. The guest pages are deserialized and translated once, and
-// Rank.WriteDPUs stores the payload once; the virtual clock still charges
-// the full replicated rank-side byte movement, exactly as the per-DPU path
-// would.
-func (b *Backend) handleBcast(req virtio.Request, chain *virtio.Chain, tl *simtime.Timeline) error {
-	descs := chain.Descs
-	// hdr + matrix meta + row meta + page buffer + fan-out + status.
-	if len(descs) < 6 {
-		return fmt.Errorf("backend: broadcast chain of %d descriptors", len(descs))
+// bcastTargets lists, in ascending order, the DPUs a broadcast's mask
+// names. A broadcast must carry exactly one row and name at least one DPU
+// and none past the attached rank; anything else is rejected before any
+// byte moves.
+func (b *Backend) bcastTargets(mask uint64, rows int) ([]int, error) {
+	if rows != 1 {
+		return nil, fmt.Errorf("%w: broadcast carries %d payload rows, want 1", ErrBadDescriptor, rows)
 	}
-	sc, _, err := b.deserializeRows(descs[1:len(descs)-2], tl)
-	if err != nil {
-		return err
+	if mask == 0 {
+		return nil, fmt.Errorf("%w: broadcast names no DPU", ErrBadDescriptor)
 	}
-	defer sc.release()
-	if len(sc.rows) != 1 {
-		return fmt.Errorf("%w: broadcast carries %d payload rows, want 1", ErrBadDescriptor, len(sc.rows))
+	if n := b.rank.NumDPUs(); mask>>uint(n) != 0 {
+		return nil, fmt.Errorf("%w: broadcast mask %#x names a DPU outside rank of %d", ErrBadDescriptor, mask, n)
 	}
-	fo := descs[len(descs)-2]
-	foBuf, err := b.mem.Slice(fo.GPA, int(fo.Len))
-	if err != nil {
-		return fmt.Errorf("fan-out: %w", err)
+	targets := make([]int, 0, bits.OnesCount64(mask))
+	for m := mask; m != 0; m &= m - 1 {
+		targets = append(targets, bits.TrailingZeros64(m))
 	}
-	ids, err := virtio.DecodeFanout(foBuf)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadDescriptor, err)
-	}
-	if len(ids) == 0 {
-		return fmt.Errorf("%w: empty broadcast fan-out", ErrBadDescriptor)
-	}
-	nDPUs := b.rank.NumDPUs()
-	seen := make([]bool, nDPUs)
-	for _, id := range ids {
-		if int(id) >= nDPUs {
-			return fmt.Errorf("%w: fan-out DPU %d outside rank of %d", ErrBadDescriptor, id, nDPUs)
-		}
-		if seen[id] {
-			return fmt.Errorf("%w: fan-out lists DPU %d twice", ErrBadDescriptor, id)
-		}
-		seen[id] = true
-	}
-	tl.Charge(trace.StepDeser, b.model.BcastFanout*simtime.Duration(len(ids)))
-
-	rankStart := tl.Now()
-	tl.Span(trace.StepTData, func(tl *simtime.Timeline) {
-		err = b.copyBcast(sc.rows[0], ids, tl)
-	})
-	if err == nil && b.rec.Enabled() {
-		b.rec.Record(obs.Event{
-			Name: "rank:" + req.Op.String(), Cat: "rank", TID: obs.LaneRank,
-			Req: chain.ReqID, Start: rankStart, Dur: tl.Now() - rankStart,
-		})
-	}
-	return err
+	return targets, nil
 }
 
 // deserializeRows reassembles the transfer matrix from the chain's body
@@ -438,37 +411,34 @@ func (b *Backend) copyRows(op virtio.Op, rows []row, tl *simtime.Timeline) error
 	return nil
 }
 
-// copyBcast stores one row's guest bytes onto every fan-out target. The
-// guest pages are translated once (the deduplication the broadcast wire
-// shape exists for), and the rank stores the bytes once (writeShared).
-// Fault hooks are consulted in a sequential prologue (fan-out order, then
-// the payload's page walk) so seeded chaos plans replay deterministically.
-func (b *Backend) copyBcast(r row, ids []uint32, tl *simtime.Timeline) error {
+// copyBcast stores one row's guest bytes onto every target. The guest
+// pages are translated once (the deduplication the broadcast wire shape
+// exists for), and the rank stores the bytes once (writeShared). Fault
+// hooks are consulted in a sequential prologue (targets in ascending DPU
+// order, then the payload's page walk once) so seeded chaos plans replay
+// deterministically.
+func (b *Backend) copyBcast(r row, targets []int, tl *simtime.Timeline) error {
 	if b.fault != nil {
-		for _, id := range ids {
-			if b.fault.FailCopy != nil && b.fault.FailCopy(int(id)) {
-				return fmt.Errorf("backend: injected copy fault on dpu %d", id)
+		for _, d := range targets {
+			if b.fault.FailCopy != nil && b.fault.FailCopy(d) {
+				return fmt.Errorf("backend: injected copy fault on dpu %d", d)
 			}
 		}
 		if err := b.consultTranslate(r); err != nil {
 			return err
 		}
 	}
-	dpus := make([]int, len(ids))
-	for i, id := range ids {
-		dpus[i] = int(id)
-	}
-	if err := b.writeShared(r, dpus); err != nil {
+	if err := b.writeShared(r, targets); err != nil {
 		return err
 	}
 	// The rank-side byte movement is honest: every replica pays its full
 	// share of RankOpDuration, exactly as the per-DPU path would.
-	sizes := make([]int, len(ids))
+	sizes := make([]int, len(targets))
 	for i := range sizes {
 		sizes[i] = r.size
 	}
-	b.cCopyBytes.Add(int64(r.size) * int64(len(ids)))
-	b.cBcastFanout.Add(int64(len(ids)))
+	b.cCopyBytes.Add(int64(r.size) * int64(len(targets)))
+	b.cBcastFanout.Add(int64(len(targets)))
 	tl.Advance(b.model.RankOpDuration(b.engine, sizes))
 	return nil
 }

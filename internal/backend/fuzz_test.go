@@ -11,9 +11,11 @@ import (
 
 // matrixSeed is one transfer-matrix encoding for the decode-path fuzzer:
 // the matrix-metadata row count plus the five guest-controlled row metadata
-// words and the page-buffer word count. The chain shape itself stays valid
-// (one row-metadata/page-buffer descriptor pair), so the fuzzer concentrates
-// on the field validation that used to be missing.
+// words and the page-buffer word count, and whether the chain is a
+// broadcast (OpWriteRankBcast) with the given header DPU mask. The chain
+// shape itself stays valid (one row-metadata/page-buffer descriptor pair),
+// so the fuzzer concentrates on the field validation that used to be
+// missing.
 type matrixSeed struct {
 	nRows    uint64
 	dpu      uint64
@@ -22,6 +24,8 @@ type matrixSeed struct {
 	nPages   uint64
 	firstOff uint64
 	pmWords  uint16
+	bcast    bool
+	mask     uint64
 }
 
 // deserializeSeeds is the shared corpus: valid rows plus the adversarial
@@ -32,6 +36,9 @@ func deserializeSeeds() (valid []matrixSeed, adversarial []matrixSeed) {
 		{nRows: 1, size: 4096, nPages: 1, pmWords: 1},
 		{nRows: 1, size: 8192, nPages: 2, pmWords: 2},
 		{nRows: 1, size: 100, nPages: 1, firstOff: 96, pmWords: 1},
+		// Broadcasts to DPUs {0, 1, 3} and to every DPU of the test rank.
+		{nRows: 1, size: 4096, nPages: 1, pmWords: 1, bcast: true, mask: 0b1011},
+		{nRows: 1, size: 100, nPages: 1, firstOff: 96, pmWords: 1, bcast: true, mask: 0b1111},
 	}
 	adversarial = []matrixSeed{
 		// First-page offset at/past the page end: the historical negative
@@ -52,6 +59,11 @@ func deserializeSeeds() (valid []matrixSeed, adversarial []matrixSeed) {
 		{nRows: 0, size: 4096, nPages: 1, pmWords: 1},
 		{nRows: 2, size: 4096, nPages: 1, pmWords: 1},
 		{nRows: ^uint64(0), size: 4096, nPages: 1, pmWords: 1},
+		// Broadcast masks naming no DPU, a DPU past the 4-DPU test rank, or
+		// bit 63.
+		{nRows: 1, size: 4096, nPages: 1, pmWords: 1, bcast: true},
+		{nRows: 1, size: 4096, nPages: 1, pmWords: 1, bcast: true, mask: 0b10010},
+		{nRows: 1, size: 4096, nPages: 1, pmWords: 1, bcast: true, mask: 1<<63 | 1},
 	}
 	return valid, adversarial
 }
@@ -91,7 +103,11 @@ func runMatrixChain(t *testing.T, s matrixSeed) error {
 	if err := virtio.PutU64s(pm.Data, pmVals); err != nil {
 		t.Fatal(err)
 	}
-	chain := buildChain(t, mem, virtio.Request{Op: virtio.OpWriteRank, Length: s.size}, []virtio.Desc{
+	req := virtio.Request{Op: virtio.OpWriteRank, DPUMask: s.mask, Length: s.size}
+	if s.bcast {
+		req.Op = virtio.OpWriteRankBcast
+	}
+	chain := buildChain(t, mem, req, []virtio.Desc{
 		{GPA: meta.GPA, Len: 8},
 		{GPA: dm.GPA, Len: uint32(8 * virtio.DPUMetaWords)},
 		{GPA: pm.GPA, Len: uint32(8 * int(s.pmWords))},
@@ -131,18 +147,22 @@ func TestDeserializeSeedCorpus(t *testing.T) {
 func FuzzDeserialize(f *testing.F) {
 	valid, adversarial := deserializeSeeds()
 	for _, s := range append(valid, adversarial...) {
-		f.Add(s.nRows, s.dpu, s.size, s.mramOff, s.nPages, s.firstOff, s.pmWords)
+		f.Add(s.nRows, s.dpu, s.size, s.mramOff, s.nPages, s.firstOff, s.pmWords, s.bcast, s.mask)
 	}
-	f.Fuzz(func(t *testing.T, nRows, dpu, size, mramOff, nPages, firstOff uint64, pmWords uint16) {
+	f.Fuzz(func(t *testing.T, nRows, dpu, size, mramOff, nPages, firstOff uint64, pmWords uint16, bcast bool, mask uint64) {
 		// Cap the page buffer so the fuzzer explores geometry mismatches,
 		// not allocator exhaustion in the test harness itself.
 		if pmWords > 512 {
 			pmWords = 512
 		}
 		s := matrixSeed{nRows: nRows, dpu: dpu, size: size, mramOff: mramOff,
-			nPages: nPages, firstOff: firstOff, pmWords: pmWords}
-		// The only contract: no panic. Errors are the expected outcome for
-		// hostile encodings.
-		_ = runMatrixChain(t, s)
+			nPages: nPages, firstOff: firstOff, pmWords: pmWords, bcast: bcast, mask: mask}
+		// No panic, whatever the encoding; errors are the expected outcome
+		// for hostile ones. A broadcast whose mask names no DPU or one past
+		// the 4-DPU test rank must never be accepted.
+		err := runMatrixChain(t, s)
+		if bcast && (mask == 0 || mask>>4 != 0) && err == nil {
+			t.Fatalf("broadcast with mask %#x accepted", mask)
+		}
 	})
 }

@@ -13,8 +13,8 @@ import (
 
 // sharedChain builds a write chain that pushes one page list to every
 // listed DPU: a matrix of one row per DPU or, with bcast, one payload row
-// and a fan-out.
-func sharedChain(t *testing.T, mem *hostmem.Memory, bcast bool, dpus []uint32, size, firstOff int, mramOff int64, pages []uint64) *virtio.Chain {
+// whose targets the header's DPU mask names.
+func sharedChain(t *testing.T, mem *hostmem.Memory, bcast bool, dpus []int, size, firstOff int, mramOff int64, pages []uint64) *virtio.Chain {
 	t.Helper()
 	put := func(src []byte) virtio.Desc {
 		buf, err := mem.Alloc(len(src))
@@ -31,9 +31,11 @@ func sharedChain(t *testing.T, mem *hostmem.Memory, bcast bool, dpus []uint32, s
 		}
 		return buf
 	}
-	rows, op := dpus, virtio.OpWriteRank
+	req := virtio.Request{Op: virtio.OpWriteRank, Length: uint64(size)}
+	rows := dpus
 	if bcast {
-		rows, op = dpus[:1], virtio.OpWriteRankBcast
+		req.Op, req.DPUMask = virtio.OpWriteRankBcast, maskOf(dpus...)
+		rows = dpus[:1]
 	}
 	descs := []virtio.Desc{put(words(uint64(len(rows))))}
 	for _, d := range rows {
@@ -41,14 +43,11 @@ func sharedChain(t *testing.T, mem *hostmem.Memory, bcast bool, dpus []uint32, s
 			put(words(uint64(d), uint64(size), uint64(mramOff), uint64(len(pages)), uint64(firstOff))),
 			put(words(pages...)))
 	}
-	if bcast {
-		descs = append(descs, put(encodeFanout(t, dpus)))
-	}
-	return buildChain(t, mem, virtio.Request{Op: op, Length: uint64(size)}, descs)
+	return buildChain(t, mem, req, descs)
 }
 
 // TestSharedWriteFollowsPageList pushes one source to three of four DPUs,
-// through the matrix and the broadcast fan-out, with page lists that are
+// through the matrix and a broadcast, with page lists that are
 // one allocation's consecutive pages, consecutive pages that cross into the
 // next allocation, and one allocation's pages with two swapped and one
 // listed twice. Every target must read the bytes in page-list order, across
@@ -97,7 +96,7 @@ func TestSharedWriteFollowsPageList(t *testing.T) {
 					}
 					want = append(want, host[:min(len(host), size-len(want))]...)
 				}
-				dpus := []uint32{3, 0, 1}
+				dpus := []int{3, 0, 1}
 				chain := sharedChain(t, mem, bcast, dpus, size, firstOff, mramOff, pages)
 				if err := handle(b, chain, simtime.New()); err != nil {
 					t.Fatal(err)

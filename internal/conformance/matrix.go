@@ -63,15 +63,15 @@ func Configs() []Config {
 		// Pipelined submission window: the full variant plus event-idx-style
 		// notification suppression and IRQ coalescing, traced so the span
 		// reconciliation invariant also covers the staged guest path; and the
-		// same window layered on the bare C engine, where staged small writes
-		// ride per-slot buffers instead of the batch sets.
+		// same window layered on the bare C engine, where only symbol writes
+		// stage and small writes stay synchronous.
 		{Name: "vPIM-pipe", Opts: pipelineOpts(vmm.Full()), Trace: true},
 		{Name: "vPIM-pipe-nobatch", Opts: pipelineOpts(vmm.Options{Engine: cost.EngineC})},
 		// Broadcast deduplication: writes sharing one backing buffer collapse
-		// to a single wire row plus a backend fan-out. The digest must stay
-		// bit-exact, the collapsed/rows_saved/fanout counter identity must
-		// hold, and RunMatrix asserts the clock never exceeds the full
-		// variant's (deduplication only removes host-side charges).
+		// to a single wire row whose header mask names the targets. The
+		// digest must stay bit-exact, the collapsed/rows_saved/fanout counter
+		// identity must hold, and RunMatrix asserts the clock never exceeds
+		// the full variant's (deduplication only removes host-side charges).
 		{Name: "vPIM-bcast", Opts: bcastOpts(vmm.Full()), Trace: true},
 	}
 }

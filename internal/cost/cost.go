@@ -105,11 +105,12 @@ type Model struct {
 	// CacheHit is the frontend's fixed cost of serving a read from the
 	// prefetch cache (on top of the data memcpy).
 	CacheHit time.Duration
-	// BcastFanout is the per-DPU-id cost of decoding and validating the
-	// broadcast fan-out descriptor on the backend. It is charged in the
-	// deserialization lane: the replicated rank-side byte movement keeps its
-	// full RankOpDuration, so broadcast savings stay confined to the page/
-	// serialize/translate work that is genuinely deduplicated.
+	// BcastFanout is the backend's per-target cost of a broadcast: checking
+	// one DPU its header mask names and dispatching the payload row to it.
+	// It is charged in the deserialization lane: the replicated rank-side
+	// byte movement keeps its full RankOpDuration, so broadcast savings stay
+	// confined to the page/serialize/translate work that is genuinely
+	// deduplicated.
 	BcastFanout time.Duration
 
 	// --- DPU hardware (internal/pim).

@@ -134,7 +134,7 @@ func (f *Frontend) flushBatch(tl *simtime.Timeline) error {
 	s := f.nextSlot()
 	s.flush, b.frozen = b, true
 	req := virtio.Request{Op: virtio.OpWriteRank, Offset: virtio.BatchSentinel}
-	if err := f.postMatrix(s, req, rows, nil, tl); err != nil {
+	if err := f.postMatrix(s, req, rows, 0, tl); err != nil {
 		// A post that failed before any drain never reached the device.
 		f.settle(s, err)
 		return err

@@ -101,7 +101,7 @@ func (f *Frontend) readViaCache(entries []sdk.DPUXfer, off int64, length int, tl
 	// write since the last fill would have invalidated the cache.)
 	if len(missRows) > 0 {
 		req := virtio.Request{Op: virtio.OpReadRank, Offset: uint64(off), Length: uint64(c.size)}
-		if err := f.postMatrix(f.sync, req, missRows, nil, tl); err != nil {
+		if err := f.postMatrix(f.sync, req, missRows, 0, tl); err != nil {
 			return err
 		}
 	}

@@ -48,14 +48,18 @@ type Options struct {
 	// BatchThreshold is the largest per-DPU write the frontend batches.
 	BatchThreshold int
 	// Pipeline enables the pipelined submission window: up to
-	// DefaultPipelineDepth independent chains are staged on the avail ring
-	// with notifications suppressed and kicked as one window answered by one
-	// coalesced IRQ. Off, the window depth is one: every request kicks alone.
+	// DefaultPipelineDepth independent chains (symbol writes and batch
+	// flushes) are staged on the avail ring with notifications suppressed
+	// and kicked as one window answered by one coalesced IRQ. Small writes
+	// stage only through the batch buffer: without Batch they take the
+	// synchronous matrix path. Off, the window depth is one: every request
+	// kicks alone.
 	Pipeline bool
 	// Bcast enables broadcast deduplication: a write-to-rank whose rows all
-	// share one backing buffer collapses to a single wire row plus a fan-out
-	// descriptor, paying page management, serialization and translation once
-	// instead of once per DPU. Rank-side byte movement is unchanged.
+	// share one backing buffer collapses to a single wire row whose targets
+	// the request header's DPU mask names, paying page management,
+	// serialization and translation once instead of once per DPU. Rank-side
+	// byte movement is unchanged.
 	Bcast bool
 }
 
@@ -101,11 +105,8 @@ type Frontend struct {
 	sync   *slot
 	cfgBuf hostmem.Buffer
 	sized  geometry
-	// Reusable driver-side scratch: the matrix row slice requests build, and
-	// the broadcast detector's id list and seen set.
+	// rowScratch is the reusable matrix row slice requests build.
 	rowScratch []matrixRow
-	bcastIDs   []uint32
-	bcastSeen  []bool
 
 	cache *prefetchCache
 	batch *batchBuffer
@@ -270,10 +271,6 @@ func (f *Frontend) setupBuffers() error {
 		return err
 	}
 	f.rowScratch = make([]matrixRow, 0, nDPUs)
-	if f.opts.Bcast {
-		f.bcastIDs = make([]uint32, 0, nDPUs)
-		f.bcastSeen = make([]bool, nDPUs)
-	}
 	var err error
 	if f.opts.Prefetch {
 		if f.cache, err = newPrefetchCache(f.mem, nDPUs, f.opts.PrefetchPages); err != nil {
@@ -317,11 +314,7 @@ func (f *Frontend) MemoryOverheadBytes() int64 {
 		total += sets * int64(f.opts.BatchPages) * hostmem.PageSize
 	}
 	if f.opts.Pipeline {
-		perSlot := int64(hostmem.PageSize) // staged symbol payload
-		if !f.opts.Batch {
-			perSlot += int64(f.cfg.NumDPUs) * int64(f.opts.BatchThreshold)
-		}
-		total += DefaultPipelineDepth * perSlot
+		total += DefaultPipelineDepth * hostmem.PageSize // staged symbol payloads
 	}
 	return total
 }
@@ -340,24 +333,23 @@ func (f *Frontend) control(op virtio.Op, tl *simtime.Timeline) error {
 }
 
 // Detach unlinks the physical rank through the controlq — the inverse of
-// Attach's manager synchronization, used by the VMM to unwind a
-// partially-booked allocation so the manager gets its ranks back. Unlike
-// Release it does not require the device to stay usable afterwards.
+// Attach's manager synchronization. Release and the VMM's unwinding of a
+// partially-booked allocation both end here. The batch flush and the window
+// drain are best-effort: the device is being unlinked, so when either fails
+// (the physical rank died mid-run, or a staged chain was rejected) the
+// staged records are dropped and the rank still goes back. A device that
+// kept its rank until a flush succeeded could never hand back a rank whose
+// pending write can never land, and a freed set would leak it for good. The
+// first such failure is returned once the rank is released.
 func (f *Frontend) Detach(tl *simtime.Timeline) error {
 	if !f.attached {
 		return nil
 	}
-	// The flush is best-effort: the device is being unlinked, so when it
-	// fails (e.g. the physical rank died mid-run) the staged records are
-	// dropped rather than wedging the device in the attached state — a
-	// device that cannot flush could otherwise never detach, re-attach, or
-	// hand its rank back.
-	if err := f.flushBatch(tl); err != nil {
-		f.dropBatch()
+	pending := f.flushBatch(tl)
+	if err := f.drain(f.tq, tl); pending == nil {
+		pending = err
 	}
-	if err := f.drain(f.tq, tl); err != nil {
-		// Same best-effort contract: the window was consumed either way;
-		// drop whatever a failed flush kept for a retry.
+	if pending != nil {
 		f.dropBatch()
 	}
 	f.cache.invalidate()
@@ -365,7 +357,7 @@ func (f *Frontend) Detach(tl *simtime.Timeline) error {
 		return err
 	}
 	f.attached = false
-	return nil
+	return pending
 }
 
 func (f *Frontend) ensureAttached(tl *simtime.Timeline) error {

@@ -13,7 +13,7 @@ import (
 
 // WriteRank implements sdk.Device: a write-to-rank operation. Small writes
 // are absorbed into the batch buffer when batching is on; everything else
-// takes the zero-copy serialized-matrix path.
+// takes the zero-copy serialized-matrix path, synchronously.
 func (f *Frontend) WriteRank(entries []sdk.DPUXfer, off int64, length int, tl *simtime.Timeline) error {
 	var err error
 	tl.Span(trace.OpWriteRank, func(tl *simtime.Timeline) {
@@ -26,13 +26,6 @@ func (f *Frontend) WriteRank(entries []sdk.DPUXfer, off int64, length int, tl *s
 		// responsibility (oversized records fall back to the matrix path).
 		if f.batch != nil && length <= f.opts.BatchThreshold {
 			err = f.batchAppend(entries, off, length, tl)
-			return
-		}
-		// Without batching, the pipelined window still absorbs small writes:
-		// the payload is copied into a slot and the chain staged, kick
-		// deferred to the next synchronization point.
-		if f.opts.Pipeline && f.batch == nil && length <= f.opts.BatchThreshold {
-			err = f.stageWrite(entries, off, length, tl)
 			return
 		}
 		if err = f.flushBatch(tl); err != nil {
@@ -158,39 +151,7 @@ func (f *Frontend) LoadProgram(name string, tl *simtime.Timeline) error {
 // round trip, which is why CI-heavy programs (checksum) suffer under
 // virtualization (Fig. 12).
 func (f *Frontend) Launch(dpus []int, tl *simtime.Timeline) error {
-	if err := f.ensureAttached(tl); err != nil {
-		return err
-	}
-	if err := f.flushBatch(tl); err != nil {
-		return err
-	}
-	// Launching DPU programs invalidates the cache (CI operations).
-	f.cache.invalidate()
-	var mask uint64
-	for _, d := range dpus {
-		if d < 0 || d >= 64 {
-			return fmt.Errorf("driver: DPU %d outside mask range", d)
-		}
-		mask |= 1 << uint(d)
-	}
-	// The CI boot sequence: each operation is a full guest<->VMM round
-	// trip, accounted in aggregate (the individual messages carry no
-	// payload). The per-chip boot sequence runs on the first launch after
-	// a load; relaunches only restart the chips.
-	boot := int64(pim.ChipsPerRank)
-	if !f.booted {
-		boot = int64(pim.ChipsPerRank) * int64(f.model.LaunchCIOpsPerChip)
-	}
-	f.path.AddRoundTrips(boot)
-	f.cMessages.Add(boot)
-	tl.Charge(trace.OpCI,
-		simtime.Duration(boot)*(f.model.MessageRoundTrip()+f.model.CIOperation))
-
-	var err error
-	tl.Span(trace.OpCI, func(tl *simtime.Timeline) {
-		_, err = f.roundTrip(f.tq, virtio.Request{Op: virtio.OpLaunch, DPUMask: mask}, nil, tl)
-	})
-	if err != nil {
+	if _, err := f.startLaunch(dpus, tl); err != nil {
 		return err
 	}
 	// Only a launch the device accepted leaves the chips booted: a failed
@@ -201,6 +162,7 @@ func (f *Frontend) Launch(dpus []int, tl *simtime.Timeline) error {
 	for {
 		start := tl.Now()
 		var done bool
+		var err error
 		tl.Span(trace.OpCI, func(tl *simtime.Timeline) {
 			var payload []byte
 			payload, err = f.roundTrip(f.tq, virtio.Request{Op: virtio.OpCI, Offset: ciCmdStatus}, nil, tl)
@@ -223,20 +185,45 @@ func (f *Frontend) Launch(dpus []int, tl *simtime.Timeline) error {
 // shortcut the synchronous path does not need), so the guest can overlap
 // host work and sleep until completion instead of polling.
 func (f *Frontend) LaunchStart(dpus []int, tl *simtime.Timeline) (simtime.Duration, error) {
-	if err := f.ensureAttached(tl); err != nil {
+	payload, err := f.startLaunch(dpus, tl)
+	if err != nil {
 		return 0, err
 	}
+	// The completion instant is the whole point of the asynchronous launch:
+	// a short or garbled response must be an explicit device error, not a
+	// zero that makes the guest sleep nothing and treat a still-running
+	// rank as done. A real completion can never be zero — the virtual clock
+	// is past device boot by the time a launch is possible.
+	v, err := virtio.GetU64(payload, 0)
+	if err != nil || v == 0 {
+		return 0, fmt.Errorf("%w: launch response missing completion time", ErrDeviceError)
+	}
+	f.booted = true
+	return simtime.Duration(v), nil
+}
+
+// startLaunch is the prologue both launches share: attach, flush the batch,
+// invalidate the cache (CI operations), charge the CI boot sequence and send
+// OpLaunch for the listed DPUs. It returns the device's response payload.
+func (f *Frontend) startLaunch(dpus []int, tl *simtime.Timeline) ([]byte, error) {
+	if err := f.ensureAttached(tl); err != nil {
+		return nil, err
+	}
 	if err := f.flushBatch(tl); err != nil {
-		return 0, err
+		return nil, err
 	}
 	f.cache.invalidate()
 	var mask uint64
 	for _, d := range dpus {
 		if d < 0 || d >= 64 {
-			return 0, fmt.Errorf("driver: DPU %d outside mask range", d)
+			return nil, fmt.Errorf("driver: DPU %d outside mask range", d)
 		}
 		mask |= 1 << uint(d)
 	}
+	// The CI boot sequence: each operation is a full guest<->VMM round
+	// trip, accounted in aggregate (the individual messages carry no
+	// payload). The per-chip boot sequence runs on the first launch after
+	// a load; relaunches only restart the chips.
 	boot := int64(pim.ChipsPerRank)
 	if !f.booted {
 		boot = int64(pim.ChipsPerRank) * int64(f.model.LaunchCIOpsPerChip)
@@ -246,53 +233,21 @@ func (f *Frontend) LaunchStart(dpus []int, tl *simtime.Timeline) (simtime.Durati
 	tl.Charge(trace.OpCI,
 		simtime.Duration(boot)*(f.model.MessageRoundTrip()+f.model.CIOperation))
 
-	var completion simtime.Duration
+	var payload []byte
 	var err error
 	tl.Span(trace.OpCI, func(tl *simtime.Timeline) {
-		var payload []byte
 		payload, err = f.roundTrip(f.tq, virtio.Request{Op: virtio.OpLaunch, DPUMask: mask}, nil, tl)
-		if err != nil {
-			return
-		}
-		// The completion instant is the whole point of the asynchronous
-		// launch: a short or garbled response must be an explicit device
-		// error, not a zero that makes the guest sleep nothing and treat a
-		// still-running rank as done. A real completion can never be zero —
-		// the virtual clock is past device boot by the time a launch is
-		// possible.
-		v, gerr := virtio.GetU64(payload, 0)
-		if gerr != nil || v == 0 {
-			err = fmt.Errorf("%w: launch response missing completion time", ErrDeviceError)
-			return
-		}
-		completion = simtime.Duration(v)
 	})
-	if err != nil {
-		return 0, err
-	}
-	f.booted = true
-	return completion, nil
+	return payload, err
 }
 
 // ciCmdStatus is the CI command code for a status poll (Request.Offset).
 const ciCmdStatus = 1
 
-// Release implements sdk.Device: detach the physical rank so the manager can
-// reallocate it (after a reset) to another VM. Like Detach it synchronizes
-// with the manager over the controlq — the spec reserves that queue for
-// manager synchronization, and routing it over the transferq would skew the
-// per-queue chain counters the conformance identities link across layers.
-func (f *Frontend) Release(tl *simtime.Timeline) error {
-	if !f.attached {
-		return nil
-	}
-	if err := f.flushBatch(tl); err != nil {
-		return err
-	}
-	f.cache.invalidate()
-	if err := f.control(virtio.OpRelease, tl); err != nil {
-		return err
-	}
-	f.attached = false
-	return nil
-}
+// Release implements sdk.Device: detach the physical rank (Detach) so the
+// manager can reallocate it (after a reset) to another VM. Like attach it
+// synchronizes with the manager over the controlq — the spec reserves that
+// queue for manager synchronization, and routing it over the transferq
+// would skew the per-queue chain counters the conformance identities link
+// across layers.
+func (f *Frontend) Release(tl *simtime.Timeline) error { return f.Detach(tl) }

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/hostmem"
 	"repro/internal/sdk"
@@ -22,43 +23,39 @@ type matrixRow struct {
 // DPU) into the synchronous slot and waits for it. The row slice is
 // frontend scratch, sized from the DPU count at attach, so the hot path
 // allocates nothing per call. A write whose rows all share one backing
-// buffer takes the broadcast fast path instead.
+// buffer travels as one broadcast row instead (bcastTargets).
 func (f *Frontend) sendMatrix(op virtio.Op, entries []sdk.DPUXfer, off int64, length int, tl *simtime.Timeline) error {
-	ids, bcast := f.bcastTargets(op, entries)
+	mask := f.bcastTargets(op, entries)
+	if mask != 0 {
+		entries = entries[:1]
+	}
 	rows := f.rowScratch[:0]
 	for _, e := range entries {
 		rows = append(rows, matrixRow{dpu: e.DPU, buf: e.Buf, size: length, mramOff: off})
-		if bcast {
-			break
-		}
 	}
 	f.rowScratch = rows[:0]
 	req := virtio.Request{Op: op, Offset: uint64(off), Length: uint64(length)}
-	if err := f.postMatrix(f.sync, req, rows, ids, tl); err != nil {
+	if err := f.postMatrix(f.sync, req, rows, mask, tl); err != nil {
 		return err
 	}
 	return f.drain(f.tq, tl)
 }
 
 // postMatrix serializes rows into slot s and submits the chain on the
-// transferq. With a fan-out list (see bcastTargets) the single row is a
-// broadcast payload: the chain carries the fan-out descriptor after the
-// matrix and page management and serialization are paid for the
-// deduplicated set only. The request offset carries virtio.BatchSentinel
-// for packed batch flushes.
-func (f *Frontend) postMatrix(s *slot, req virtio.Request, rows []matrixRow, ids []uint32, tl *simtime.Timeline) error {
+// transferq. A non-zero mask (see bcastTargets) makes the single row a
+// broadcast payload: the chain keeps the shape of a one-row matrix, the
+// header carries OpWriteRankBcast and names the targets in its DPU mask,
+// and page management and serialization are paid for the deduplicated row
+// only. The request offset carries virtio.BatchSentinel for packed batch
+// flushes.
+func (f *Frontend) postMatrix(s *slot, req virtio.Request, rows []matrixRow, mask uint64, tl *simtime.Timeline) error {
 	if err := f.buildMatrixDescs(s, rows, tl); err != nil {
 		return err
 	}
-	if ids != nil {
-		n, err := virtio.EncodeFanout(s.scratch.fanout.Data, ids)
-		if err != nil {
-			return err
-		}
-		s.body = append(s.body, virtio.Desc{GPA: s.scratch.fanout.GPA, Len: uint32(n)})
-		req.Op = virtio.OpWriteRankBcast
+	if mask != 0 {
+		req.Op, req.DPUMask = virtio.OpWriteRankBcast, mask
 		f.cBcastCollapsed.Inc()
-		f.cBcastRowsSaved.Add(int64(len(ids) - 1))
+		f.cBcastRowsSaved.Add(int64(bits.OnesCount64(mask) - 1))
 	}
 	return f.submit(f.tq, s, req, s.body, tl)
 }

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/cost"
 	"repro/internal/hostmem"
 	"repro/internal/obs"
-	"repro/internal/sdk"
 	"repro/internal/simtime"
 	"repro/internal/virtio"
 )
@@ -20,7 +18,7 @@ import (
 // chain of the window it drains, so device-visible ordering is exactly the
 // submission order. Without pipelining the window depth is one and every
 // request kicks alone. With it, chains whose results the guest does not
-// need yet (small writes, symbol writes, batch flushes) stay staged, up to
+// need yet (symbol writes and batch flushes) stay staged, up to
 // DefaultPipelineDepth per kick: the window replaces N guest<->VMM round
 // trips (the dominant virtualization cost, Fig. 13) with one, without moving
 // a single byte differently.
@@ -32,18 +30,12 @@ type matrixScratch struct {
 	meta     hostmem.Buffer
 	dpuMeta  []hostmem.Buffer
 	pageBufs []hostmem.Buffer
-	// fanout backs the broadcast fan-out descriptor (count + packed DPU
-	// ids); sized for a full-rank broadcast.
-	fanout hostmem.Buffer
 }
 
 func newMatrixScratch(mem *hostmem.Memory, nDPUs, pagesPerDPU int) (matrixScratch, error) {
 	var sc matrixScratch
 	var err error
 	if sc.meta, err = mem.Alloc(8 * virtio.MatrixMetaWords); err != nil {
-		return sc, err
-	}
-	if sc.fanout, err = mem.Alloc(virtio.FanoutSize(nDPUs)); err != nil {
 		return sc, err
 	}
 	sc.dpuMeta = make([]hostmem.Buffer, nDPUs)
@@ -61,18 +53,16 @@ func newMatrixScratch(mem *hostmem.Memory, nDPUs, pagesPerDPU int) (matrixScratc
 
 // slot is the guest memory behind one request chain: its header and status
 // descriptors (per-chain status is what lets one failing chain fail alone),
-// a symbol payload page, a matrix scratch set, and — for staging slots when
-// batching is off — per-DPU staging copies for small writes. The frontend
-// owns one synchronous slot, whose page vectors span a DPU's whole MRAM, and
-// with pipelining DefaultPipelineDepth staging slots sized for the chains
-// that stay staged. A slot is reused once the window holding its chain has
+// a symbol payload page and a matrix scratch set. The frontend owns one
+// synchronous slot, whose page vectors span a DPU's whole MRAM, and with
+// pipelining DefaultPipelineDepth staging slots sized for the chains that
+// stay staged. A slot is reused once the window holding its chain has
 // drained.
 type slot struct {
 	hdr     hostmem.Buffer
 	status  hostmem.Buffer
 	sym     hostmem.Buffer
 	scratch matrixScratch
-	data    []hostmem.Buffer
 	// body and chain are rebuilt in place by each request, so publishing a
 	// chain allocates nothing.
 	body  []virtio.Desc
@@ -139,13 +129,10 @@ func (f *Frontend) nextSlot() *slot {
 // let flushed data survive until the drain) once the rank geometry is known.
 func (f *Frontend) setupPipeline() error {
 	nDPUs := int(f.cfg.NumDPUs)
-	// A slot's page vectors only ever describe staged chains: a batch flush
-	// (BatchPages pages per DPU) or a small staged write (at most
-	// BatchThreshold bytes), plus slack for unaligned buffers.
+	// The only matrix chain that stays staged is a batch flush, whose rows
+	// hold BatchPages pages each; two pages of slack cover unaligned
+	// buffers.
 	slotPages := f.opts.BatchPages + 2
-	if p := f.opts.BatchThreshold/hostmem.PageSize + 2; p > slotPages {
-		slotPages = p
-	}
 	f.pipe = make([]*slot, DefaultPipelineDepth)
 	for i := range f.pipe {
 		s, err := newSlot(f.mem)
@@ -154,14 +141,6 @@ func (f *Frontend) setupPipeline() error {
 		}
 		if err := s.size(f.mem, nDPUs, slotPages); err != nil {
 			return err
-		}
-		if f.batch == nil {
-			s.data = make([]hostmem.Buffer, nDPUs)
-			for d := range s.data {
-				if s.data[d], err = f.mem.Alloc(f.opts.BatchThreshold); err != nil {
-					return err
-				}
-			}
 		}
 		f.pipe[i] = s
 	}
@@ -261,33 +240,6 @@ func (f *Frontend) drain(q *virtio.Queue, tl *simtime.Timeline) error {
 		}
 	}
 	return firstErr
-}
-
-// stageWrite stages a small write-to-rank when pipelining with batching
-// off: each DPU's payload is copied into the slot's staging buffer (charged
-// as a guest memcpy) so the userspace buffer may be reused immediately,
-// preserving the synchronous path's semantics.
-func (f *Frontend) stageWrite(entries []sdk.DPUXfer, off int64, length int, tl *simtime.Timeline) error {
-	s := f.nextSlot()
-	req := virtio.Request{Op: virtio.OpWriteRank, Offset: uint64(off), Length: uint64(length)}
-	rows := f.rowScratch[:0]
-	// A broadcast stages one payload copy: the single wire row pins the
-	// shared bytes in its slot buffer, and the fan-out descriptor carries
-	// the targets. One guest memcpy instead of one per DPU.
-	ids, bcast := f.bcastTargets(virtio.OpWriteRank, entries)
-	for _, e := range entries {
-		if e.DPU < 0 || e.DPU >= len(s.data) {
-			return fmt.Errorf("driver: DPU %d outside pipeline staging of %d", e.DPU, len(s.data))
-		}
-		copy(s.data[e.DPU].Data[:length], e.Buf.Data[:length])
-		tl.Advance(f.model.CopyDuration(cost.EngineC, int64(length)))
-		rows = append(rows, matrixRow{dpu: e.DPU, buf: s.data[e.DPU], size: length, mramOff: off})
-		if bcast {
-			break
-		}
-	}
-	f.rowScratch = rows[:0]
-	return f.postMatrix(s, req, rows, ids, tl)
 }
 
 // settle thaws the batch set a slot's flush chain carried once the chain is

@@ -20,11 +20,9 @@ import (
 
 // Path is the guest<->VMM transition machinery of one VM.
 type Path struct {
-	model      cost.Model
-	exits      atomic.Int64
-	irqs       atomic.Int64
-	suppressed atomic.Int64
-	coalesced  atomic.Int64
+	model cost.Model
+	exits atomic.Int64
+	irqs  atomic.Int64
 
 	// Per-reason exit counters (nil until SetObs): virtqueue notifications
 	// vs. aggregated CI-boot round trips, plus the transitions the pipelined
@@ -88,7 +86,6 @@ func (p *Path) SuppressNotify(n int64) {
 	if n <= 0 {
 		return
 	}
-	p.suppressed.Add(n)
 	p.cSuppressed.Add(n)
 }
 
@@ -99,7 +96,6 @@ func (p *Path) CoalesceIRQs(n int64) {
 	if n <= 0 {
 		return
 	}
-	p.coalesced.Add(n)
 	p.cCoalesced.Add(n)
 }
 
@@ -108,10 +104,3 @@ func (p *Path) Exits() int64 { return p.exits.Load() }
 
 // IRQs reports the number of injected interrupts so far.
 func (p *Path) IRQs() int64 { return p.irqs.Load() }
-
-// Suppressed reports the number of notifications event-idx suppression
-// avoided so far.
-func (p *Path) Suppressed() int64 { return p.suppressed.Load() }
-
-// Coalesced reports the number of completion IRQs merged away so far.
-func (p *Path) Coalesced() int64 { return p.coalesced.Load() }

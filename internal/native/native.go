@@ -178,28 +178,31 @@ func (d *Device) SymRead(dpu int, symbol string, off int, dst []byte, tl *simtim
 // interface until completion, exactly as the SDK's synchronous launch does.
 // The poll count is what makes checksum CI-heavy in Fig. 12.
 func (d *Device) Launch(dpus []int, tl *simtime.Timeline) error {
-	res, err := d.rank.Launch(dpus)
+	dur, err := d.start(dpus, tl)
 	if err != nil {
 		return err
 	}
-	// The first launch after a load runs the chip boot sequence; later
-	// launches only restart the chips.
-	boot := launchCIOps(d.model, d.booted)
-	d.booted = true
-	d.rank.CIOps(boot)
-	tl.Charge(trace.OpCI, d.model.LaunchFixed+simtime.Duration(boot)*d.model.CIOperation)
-	pollAndWait(tl, res.Duration, d.model.LaunchPollInterval, d.model.CIOperation, d.rank)
+	pollAndWait(tl, dur, d.model.LaunchPollInterval, d.model.CIOperation, d.rank)
 	return nil
 }
 
-// launchCIOps reports the control-interface operations a launch issues: a
-// per-chip boot sequence the first time a loaded program starts, one
-// restart command per chip afterwards.
-func launchCIOps(model cost.Model, booted bool) int64 {
-	if booted {
-		return int64(pim.ChipsPerRank)
+// start is the prologue both launches share: run the program on the listed
+// DPUs and charge the launch with its control-interface operations, a
+// per-chip boot sequence the first time a loaded program starts and one
+// restart command per chip afterwards. It returns the program's run time.
+func (d *Device) start(dpus []int, tl *simtime.Timeline) (simtime.Duration, error) {
+	res, err := d.rank.Launch(dpus)
+	if err != nil {
+		return 0, err
 	}
-	return int64(pim.ChipsPerRank) * int64(model.LaunchCIOpsPerChip)
+	boot := int64(pim.ChipsPerRank)
+	if !d.booted {
+		boot *= int64(d.model.LaunchCIOpsPerChip)
+	}
+	d.booted = true
+	d.rank.CIOps(boot)
+	tl.Charge(trace.OpCI, d.model.LaunchFixed+simtime.Duration(boot)*d.model.CIOperation)
+	return res.Duration, nil
 }
 
 // uniformSizes builds a per-row size list for uniform transfers.
@@ -214,15 +217,11 @@ func uniformSizes(n, length int) []int {
 // LaunchStart implements sdk.Device: boot the DPUs and return without
 // polling (DPU_ASYNCHRONOUS); the SDK's Sync waits out the completion.
 func (d *Device) LaunchStart(dpus []int, tl *simtime.Timeline) (simtime.Duration, error) {
-	res, err := d.rank.Launch(dpus)
+	dur, err := d.start(dpus, tl)
 	if err != nil {
 		return 0, err
 	}
-	boot := launchCIOps(d.model, d.booted)
-	d.booted = true
-	d.rank.CIOps(boot)
-	tl.Charge(trace.OpCI, d.model.LaunchFixed+simtime.Duration(boot)*d.model.CIOperation)
-	return tl.Now() + res.Duration, nil
+	return tl.Now() + dur, nil
 }
 
 // pollAndWait advances the timeline across a launch of the given duration,

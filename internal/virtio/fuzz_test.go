@@ -78,77 +78,6 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// fanoutSeeds is the seed corpus for the broadcast fan-out parser: valid
-// encodings plus adversarial variants (truncated header, count overrunning
-// the buffer, saturated count) that must be rejected with an error, never a
-// panic or an allocation sized by the unchecked count word.
-func fanoutSeeds(tb testing.TB) (valid [][]byte, adversarial [][]byte) {
-	tb.Helper()
-	one := make([]byte, FanoutSize(1))
-	if _, err := EncodeFanout(one, []uint32{0}); err != nil {
-		tb.Fatal(err)
-	}
-	many := make([]byte, FanoutSize(4))
-	if _, err := EncodeFanout(many, []uint32{0, 3, 7, 59}); err != nil {
-		tb.Fatal(err)
-	}
-	valid = [][]byte{one, many}
-	truncated := append([]byte(nil), one[:FanoutHeaderSize-1]...)
-	overrun := append([]byte(nil), one...)
-	binary.LittleEndian.PutUint32(overrun[0:], 2)
-	saturated := append([]byte(nil), many...)
-	binary.LittleEndian.PutUint32(saturated[0:], ^uint32(0))
-	adversarial = [][]byte{{}, truncated, overrun, saturated}
-	return valid, adversarial
-}
-
-// TestDecodeFanoutSeedCorpus pins the corpus behavior down in a plain unit
-// test, so every `go test` run exercises the adversarial encodings even when
-// the fuzz engine is not invoked.
-func TestDecodeFanoutSeedCorpus(t *testing.T) {
-	valid, adversarial := fanoutSeeds(t)
-	ids, err := DecodeFanout(valid[1])
-	if err != nil {
-		t.Fatalf("valid seed must decode: %v", err)
-	}
-	if len(ids) != 4 || ids[3] != 59 {
-		t.Errorf("decoded %v, want the encoded ids back", ids)
-	}
-	for i, data := range adversarial {
-		if _, err := DecodeFanout(data); err == nil {
-			t.Errorf("adversarial seed %d (len %d) decoded without error", i, len(data))
-		}
-	}
-}
-
-// FuzzDecodeFanout hardens the fan-out parser against arbitrary guest bytes.
-func FuzzDecodeFanout(f *testing.F) {
-	valid, adversarial := fanoutSeeds(f)
-	for _, data := range append(valid, adversarial...) {
-		f.Add(data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ids, err := DecodeFanout(data)
-		if err != nil {
-			return
-		}
-		// A successful decode must re-encode losslessly.
-		out := make([]byte, FanoutSize(len(ids)))
-		if _, err := EncodeFanout(out, ids); err != nil {
-			t.Fatalf("re-encode of decoded fan-out failed: %v", err)
-		}
-		back, err := DecodeFanout(out)
-		if err != nil || len(back) != len(ids) {
-			t.Fatalf("decode(encode(x)) != x: %v vs %v (%v)", back, ids, err)
-		}
-		for i := range ids {
-			if back[i] != ids[i] {
-				t.Fatalf("decode(encode(x))[%d] = %d, want %d", i, back[i], ids[i])
-			}
-		}
-	})
-}
-
 // FuzzDecodeConfig covers the configuration response parser.
 func FuzzDecodeConfig(f *testing.F) {
 	buf := make([]byte, ConfigResponseSize)

@@ -61,10 +61,10 @@ const (
 	// manager) if none is attached.
 	OpAttach
 	// OpWriteRankBcast transfers one serialized matrix row to many DPUs: the
-	// chain carries a single payload row plus a fan-out descriptor (count +
-	// packed DPU ids, see EncodeFanout) and the backend replicates the row
-	// onto every listed DPU. Emitted by the frontend when the guest prepared
-	// the same backing buffer for several DPUs, deduplicating the page
+	// chain has the shape of a one-row OpWriteRank matrix, the header's
+	// DPUMask names the targets, and the backend writes the row onto every
+	// DPU in the mask. Emitted by the frontend when the guest prepared the
+	// same backing buffer for several DPUs, deduplicating the page
 	// management, serialization and translation work.
 	OpWriteRankBcast
 )

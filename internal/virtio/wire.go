@@ -12,7 +12,8 @@ type Request struct {
 	Op Op
 	// DPU is the target DPU for single-DPU operations (symbol access).
 	DPU uint32
-	// DPUMask selects DPUs for OpLaunch (bit i = DPU i).
+	// DPUMask selects DPUs for OpLaunch and names the targets of an
+	// OpWriteRankBcast (bit i = DPU i; a rank has at most 64 DPUs).
 	DPUMask uint64
 	// Offset is the MRAM or symbol byte offset.
 	Offset uint64
@@ -92,59 +93,6 @@ const BroadcastDPU = ^uint32(0)
 // carry packed batch records ([mramOff u64, len u64, data...] repeated)
 // instead of raw MRAM data; see the frontend's request batching.
 const BatchSentinel = ^uint64(0)
-
-// Fan-out descriptor wire layout (OpWriteRankBcast). All values are u32
-// little endian:
-//
-//	fan-out buffer: [ count, dpuId0, dpuId1, ... ]
-//
-// The descriptor names the DPUs the single payload row replicates onto. The
-// count is validated against the buffer so a hostile guest cannot size an
-// allocation with an unchecked word; id range and uniqueness are the
-// backend's to check against the attached rank's geometry.
-const (
-	// FanoutHeaderSize is the byte size of the fan-out count word.
-	FanoutHeaderSize = 4
-	// FanoutIDSize is the byte size of one packed DPU id.
-	FanoutIDSize = 4
-)
-
-// FanoutSize reports the encoded byte size of a fan-out descriptor over n
-// DPU ids.
-func FanoutSize(n int) int { return FanoutHeaderSize + n*FanoutIDSize }
-
-// EncodeFanout serializes the DPU id list into buf and returns the bytes
-// written.
-func EncodeFanout(buf []byte, ids []uint32) (int, error) {
-	n := FanoutSize(len(ids))
-	if len(buf) < n {
-		return 0, fmt.Errorf("virtio: fan-out buffer too small: %d < %d", len(buf), n)
-	}
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], uint32(len(ids)))
-	for i, id := range ids {
-		le.PutUint32(buf[FanoutHeaderSize+FanoutIDSize*i:], id)
-	}
-	return n, nil
-}
-
-// DecodeFanout parses an encoded fan-out descriptor. The allocation is
-// bounded by the buffer length, never by the guest-controlled count alone.
-func DecodeFanout(buf []byte) ([]uint32, error) {
-	if len(buf) < FanoutHeaderSize {
-		return nil, fmt.Errorf("virtio: truncated fan-out: %d bytes", len(buf))
-	}
-	le := binary.LittleEndian
-	count := le.Uint32(buf[0:])
-	if max := uint32((len(buf) - FanoutHeaderSize) / FanoutIDSize); count > max {
-		return nil, fmt.Errorf("virtio: fan-out count %d exceeds buffer capacity %d", count, max)
-	}
-	ids := make([]uint32, count)
-	for i := range ids {
-		ids[i] = le.Uint32(buf[FanoutHeaderSize+FanoutIDSize*i:])
-	}
-	return ids, nil
-}
 
 // PutU64s encodes a u64 slice into bytes (the page/metadata buffers are
 // arrays of 64-bit unsigned integers per the spec).

@@ -114,8 +114,9 @@ func TestBcastPropertyEquivalence(t *testing.T) {
 	}{
 		// Plain path: sendMatrix collapses the rows.
 		{"matrix", false, 32 << 10},
-		// Pipelined path: stageWrite pins one payload copy in the slot.
-		// Sizes stay under BatchThreshold so writes take the staged path.
+		// Pipelined window without batching: sizes stay under
+		// BatchThreshold, and such small writes still go out synchronously
+		// through sendMatrix.
 		{"pipelined", true, 12 << 10},
 	} {
 		t.Run(mode.name, func(t *testing.T) {

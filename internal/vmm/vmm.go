@@ -43,21 +43,26 @@ type Options struct {
 	VhostVsock bool
 	// Pipeline deepens the submission window from one chain to
 	// driver.DefaultPipelineDepth: the frontend keeps independent chains
-	// staged on the avail ring with event-idx notification suppression and
-	// the backend answers a kicked window with one coalesced IRQ, attacking
-	// the transition count itself rather than the per-transition cost.
+	// (symbol writes and batch flushes) staged on the avail ring with
+	// event-idx notification suppression and the backend answers a kicked
+	// window with one coalesced IRQ, attacking the transition count itself
+	// rather than the per-transition cost. Small writes stage only through
+	// the batch buffer, so without Batch they stay synchronous.
 	Pipeline bool
 	// HostWorkers bounds the real host-side concurrency of the backend data
 	// path: how many worker-pool shards one request's rows may occupy, and
 	// (together with Parallel) whether multi-rank requests fan out on real
-	// goroutines. 0 selects GOMAXPROCS; 1 forces the fully sequential twin,
-	// which produces bit-identical digests, traces and virtual clocks — the
-	// conformance matrix compares the two. Virtual time never depends on
-	// this knob.
+	// goroutines. 0 selects GOMAXPROCS; 1 makes the data path (row pool and
+	// rank fan-out) sequential. A launch still runs its DPUs on
+	// min(GOMAXPROCS, len(dpus)) workers, deterministic by construction.
+	// Digests, traces and virtual clocks are bit-identical at any setting —
+	// the conformance matrix compares 4 and 1. Virtual time never depends
+	// on this knob.
 	HostWorkers int
 	// Bcast enables broadcast deduplication: a write-to-rank whose rows all
-	// share one backing buffer travels as one wire row plus a fan-out
-	// descriptor, and the backend replicates it across the listed DPUs.
+	// share one backing buffer travels as one wire row whose targets the
+	// request header's DPU mask names, and the backend writes it to every
+	// DPU in the mask.
 	Bcast bool
 	// Driver overrides optimization geometry (cache/batch sizes).
 	Driver driver.Options

@@ -507,3 +507,64 @@ func TestGuestKernelPanicIsDPUFault(t *testing.T) {
 		t.Fatalf("next tenant on the rank: %v", err)
 	}
 }
+
+// TestFreeReleasesRankAfterPendingFailure: a request that fails only when
+// Free drains it — a batched write past the banks, or a symbol write that
+// stays staged in the pipelined window — must not keep the rank. Free
+// reports the failure, the manager holds no rank for the guest, and the
+// next tenant runs checksum on the rank. Release used to return the
+// failure before handing the rank back, and the freed set could never
+// release it again.
+func TestFreeReleasesRankAfterPendingFailure(t *testing.T) {
+	pipe := Full()
+	pipe.Pipeline = true
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		write func(vm *VM, set *sdk.Set) error
+	}{
+		{"batched write past the banks", Full(), func(vm *VM, set *sdk.Set) error {
+			buf, err := vm.AllocBuffer(8)
+			if err != nil {
+				return err
+			}
+			return set.CopyToMRAM(0, 1<<20+16, buf, 8)
+		}},
+		{"staged write to an unknown symbol", pipe, func(_ *VM, set *sdk.Set) error {
+			return set.CopyToSym(0, "no_such_symbol", 0, []byte{1, 2, 3, 4})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mach, mgr := testStack(t, 1)
+			if err := upmem.Register(mach.Registry()); err != nil {
+				t.Fatal(err)
+			}
+			vm, err := NewVM(mach, mgr, Config{Name: "guest", Options: tc.opts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := vm.AllocSet(4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.write(vm, set); err != nil {
+				t.Fatalf("the failure must stay pending until Free: %v", err)
+			}
+			if err := set.Free(); err == nil {
+				t.Error("Free must report the pending failure")
+			}
+			for i, st := range mgr.States() {
+				if st == manager.StateALLO {
+					t.Fatalf("rank %d still ALLO for %q after Free", i, mgr.Owners()[i])
+				}
+			}
+			other, err := NewVM(mach, mgr, Config{Name: "next", Options: Full()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := upmem.RunChecksum(other, upmem.ChecksumParams{DPUs: 4, BytesPerDPU: 64 << 10}); err != nil {
+				t.Fatalf("next tenant on the rank: %v", err)
+			}
+		})
+	}
+}

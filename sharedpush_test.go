@@ -12,7 +12,7 @@ import (
 
 // TestSharedPushStoresOnce pushes one 1 MiB buffer to 60 DPUs through each
 // path that stores such a push once: the full variant's matrix rows, its
-// broadcast fan-out, and the native rank write. Checksum must then be
+// broadcast row, and the native rank write. Checksum must then be
 // bit-exact, the push must not allocate a replica per DPU, and DPU 0's
 // result, written inside the shared input, must not show on the other
 // DPUs. A push of 60 distinct buffers must give each DPU its own bytes.
