@@ -41,9 +41,6 @@ func main() {
 		traceOut = flag.String("trace", "", "write a Chrome trace of one vPIM run to this file")
 		traceApp = flag.String("trace-app", "VA", "PrIM application for -trace")
 		fig13Out = flag.String("fig13-json", "", "write the Fig 13 step breakdown as JSON to this file")
-		wallOut  = flag.String("wallclock-json", "", "run the wall-clock data-path benchmarks and write the report to this file")
-		wallChk  = flag.Bool("wallclock-check", false, "with -wallclock-json: fail unless the multi-rank parallel path beats the sequential twin (enforced only at GOMAXPROCS >= 4)")
-		bcast    = flag.Bool("bcast-smoke", false, "run the broadcast-deduplication smoke check: fail unless the checksum push collapses rows on the wire")
 	)
 	flag.Parse()
 
@@ -64,20 +61,6 @@ func main() {
 	}
 	if *fig13Out != "" {
 		if err := writeFig13JSON(*fig13Out, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "vpim-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *wallOut != "" {
-		if err := writeWallclockJSON(*wallOut, *wallChk, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "vpim-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *bcast {
-		if err := bench.New(os.Stdout, cfg).BcastSmoke(); err != nil {
 			fmt.Fprintln(os.Stderr, "vpim-bench:", err)
 			os.Exit(1)
 		}
@@ -120,41 +103,6 @@ func writeFig13JSON(path string, cfg bench.Config) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// writeWallclockJSON runs the wall-clock data-path benchmarks (the only
-// experiments in the harness measured on the host clock, not the virtual
-// one) and writes the report to path. With check set it additionally
-// enforces the parallel-speedup floor on the multi-rank case — but only
-// when the host has enough CPUs for real parallelism to exist (GOMAXPROCS
-// >= 4); on smaller hosts the check degrades to a regeneration smoke test.
-func writeWallclockJSON(path string, check bool, cfg bench.Config) error {
-	h := bench.New(os.Stdout, cfg)
-	rep, err := h.Wallclock()
-	if err != nil {
-		return err
-	}
-	data, err := rep.MarshalIndent()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	if !check {
-		return nil
-	}
-	if rep.GOMAXPROCS < 4 {
-		fmt.Printf("wallclock-check: GOMAXPROCS=%d < 4, speedup floor not enforced\n", rep.GOMAXPROCS)
-		return nil
-	}
-	for _, c := range rep.Cases {
-		if c.MultiRank && c.Speedup <= 1 {
-			return fmt.Errorf("wallclock-check: %s speedup %.2fx <= 1 at GOMAXPROCS=%d (parallel data path regressed)",
-				c.Name, c.Speedup, rep.GOMAXPROCS)
-		}
-	}
-	return nil
 }
 
 func run(w io.Writer, fig, apps string, list, variants bool, cfg bench.Config) error {

@@ -54,15 +54,9 @@ type Backend struct {
 	// a kick allocates nothing.
 	errs []error
 
-	// hostWorkers bounds the real host-side concurrency of the data path:
-	// how many pool workers one request's rows may shard across. 0 selects
-	// GOMAXPROCS; 1 keeps the copy path sequential (the twin the
-	// conformance harness compares against).
-	hostWorkers int
-
 	// Observability (nil-safe until SetObs): deserialized rows, translated
 	// pages, copied bytes per engine, applied batch records, simulator
-	// failovers, and pool shards dispatched. reg also holds the DPU fault
+	// failovers and broadcast targets. reg also holds the DPU fault
 	// counter, which handleLaunch registers at the first fault.
 	reg           *obs.Registry
 	rec           *obs.Recorder
@@ -71,7 +65,6 @@ type Backend struct {
 	cCopyBytes    *obs.Counter
 	cBatchRecords *obs.Counter
 	cFailovers    *obs.Counter
-	cWorkersBusy  *obs.Counter
 	cBcastFanout  *obs.Counter
 }
 
@@ -91,13 +84,6 @@ type FaultPolicy struct {
 
 // SetFault installs (or, with nil, removes) the backend's fault policy.
 func (b *Backend) SetFault(p *FaultPolicy) { b.fault = p }
-
-// SetHostWorkers bounds the data path's real host concurrency: n pool
-// workers per request (0 = GOMAXPROCS, 1 = the copy path runs on the
-// submitting goroutine). It does not bound a launch, whose DPUs run on
-// their own workers inside pim. Called by the VMM while realizing the
-// device.
-func (b *Backend) SetHostWorkers(n int) { b.hostWorkers = n }
 
 // New wires a backend. engine selects the Rust or C copy path; loop is the
 // VM-wide event loop shared by all vUPMEM devices.
@@ -125,7 +111,6 @@ func (b *Backend) SetObs(reg *obs.Registry, rec *obs.Recorder) {
 	b.cCopyBytes = reg.Counter("backend.copy.bytes." + b.engine.String() + tag)
 	b.cBatchRecords = reg.Counter("backend.batch.records" + tag)
 	b.cFailovers = reg.Counter("backend.failovers" + tag)
-	b.cWorkersBusy = reg.Counter("backend.workers.busy" + tag)
 	b.cBcastFanout = reg.Counter("backend.bcast.fanout" + tag)
 }
 
@@ -462,13 +447,9 @@ func (b *Backend) handleCI(req virtio.Request, status []byte, tl *simtime.Timeli
 }
 
 func (b *Backend) handleLaunch(req virtio.Request, status []byte, tl *simtime.Timeline) error {
-	var dpus []int
-	for d := 0; d < b.rank.NumDPUs() && d < 64; d++ {
-		if req.DPUMask&(1<<uint(d)) != 0 {
-			dpus = append(dpus, d)
-		}
-	}
-	res, err := b.rank.Launch(dpus)
+	// Every named DPU goes to the rank, which rejects one past its DPU
+	// count with pim.ErrBadDPU, as a native launch does.
+	res, err := b.rank.Launch(maskDPUs(req.DPUMask))
 	if err != nil {
 		if errors.Is(err, pim.ErrDPUFault) || errors.Is(err, pim.ErrDeadlock) {
 			// Registered at the first fault, so the counter snapshot of a

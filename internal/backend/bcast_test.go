@@ -175,8 +175,8 @@ func TestBcastFaultOrderDeterministic(t *testing.T) {
 	size := hostmem.PageSize + 32
 	mask := maskOf(3, 1, 2)
 	for _, workers := range []int{1, 4} {
+		setProcs(t, workers)
 		b, mem := testBackend(t, true)
-		b.SetHostWorkers(workers)
 		payload := bcastPayload(t, mem, size)
 		var consulted []int
 		b.SetFault(&FaultPolicy{FailCopy: func(dpu int) bool {
@@ -194,8 +194,8 @@ func TestBcastFaultOrderDeterministic(t *testing.T) {
 	// Translate fuses fire after every copy fuse passed, on the payload's
 	// pages in walk order — once, not once per target.
 	for _, workers := range []int{1, 4} {
+		setProcs(t, workers)
 		b, mem := testBackend(t, true)
-		b.SetHostWorkers(workers)
 		payload := bcastPayload(t, mem, size)
 		pages := 0
 		b.SetFault(&FaultPolicy{FailTranslate: func(gpa uint64) bool {

@@ -116,11 +116,17 @@ func (b *Backend) bcastTargets(mask uint64, rows int) ([]int, error) {
 	if n := b.rank.NumDPUs(); mask>>uint(n) != 0 {
 		return nil, fmt.Errorf("%w: broadcast mask %#x names a DPU outside rank of %d", ErrBadDescriptor, mask, n)
 	}
-	targets := make([]int, 0, bits.OnesCount64(mask))
+	return maskDPUs(mask), nil
+}
+
+// maskDPUs lists, in ascending order, the DPUs a request header's DPU mask
+// names (bit i = DPU i).
+func maskDPUs(mask uint64) []int {
+	dpus := make([]int, 0, bits.OnesCount64(mask))
 	for m := mask; m != 0; m &= m - 1 {
-		targets = append(targets, bits.TrailingZeros64(m))
+		dpus = append(dpus, bits.TrailingZeros64(m))
 	}
-	return targets, nil
+	return dpus
 }
 
 // deserializeRows reassembles the transfer matrix from the chain's body
@@ -385,7 +391,7 @@ func (b *Backend) copyRows(op virtio.Op, rows []row, tl *simtime.Timeline) error
 	if dpus, ok := sameSource(rows); ok && op == virtio.OpWriteRank {
 		err = b.writeShared(rows[0], dpus)
 	} else {
-		err = b.runRows(len(rows), func(i int) error {
+		err = runRows(len(rows), func(i int) error {
 			r := rows[i]
 			if op == virtio.OpWriteRank {
 				return b.forEachSegment(r, func(host []byte, mramOff int64) error {
@@ -482,7 +488,7 @@ func (b *Backend) applyBatch(rows []row, tl *simtime.Timeline) error {
 	}
 	rowBytes := make([]int64, len(rows))
 	rowRecords := make([]int64, len(rows))
-	err := b.runRows(len(rows), func(i int) error {
+	err := runRows(len(rows), func(i int) error {
 		r := rows[i]
 		if r.size > 0 && r.firstOff+r.size <= hostmem.PageSize {
 			host, err := b.mem.Translate(r.pages[0])

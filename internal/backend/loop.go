@@ -15,9 +15,9 @@ import (
 // requests overlap and only the dispatch serializes (Section 4.2).
 //
 // The overlap is modeled in virtual time here and — when the VMM enables
-// simtime's real Par fan-out (see vmm.Options.HostWorkers and DESIGN.md
-// "Host concurrency") — also real on the wall clock: per-rank request
-// bodies then run on their own goroutines.
+// simtime's real Par fan-out (GOMAXPROCS > 1; see DESIGN.md "Host
+// concurrency") — also real on the wall clock: per-rank request bodies then
+// run on their own goroutines.
 type EventLoop struct {
 	parallel bool
 	model    cost.Model

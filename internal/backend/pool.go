@@ -21,9 +21,10 @@ var sharedPoolState struct {
 	p    *hostPool
 }
 
-// minPoolWorkers keeps a few workers alive even on single-CPU hosts so
-// explicitly requested concurrency (Options.HostWorkers > 1, used by race
-// tests) still interleaves goroutines.
+// minPoolWorkers keeps a few workers alive even when the pool starts at
+// GOMAXPROCS 1 (a single-CPU host), so a process that raises GOMAXPROCS
+// later — the host-worker twins run the data path at 1 and at 4 — still
+// spreads its shards over real goroutines.
 const minPoolWorkers = 4
 
 // sharedPool lazily starts the process-wide pool.
@@ -68,19 +69,15 @@ func (p *hostPool) run(n int, fn func(shard int)) {
 	wg.Wait()
 }
 
-// runRows applies fn to every row index in [0, n), sharding across the
-// worker pool when the backend's host-worker budget allows. Errors are
-// collected per index and the lowest-index error is returned — the same
-// error the sequential walk would surface — so parallel execution never
-// changes which failure a request reports. A shard stops at its first error
-// (like the sequential walk stops the request), but other shards complete
-// their already-started rows.
-func (b *Backend) runRows(n int, fn func(i int) error) error {
-	workers := b.hostWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || n <= 1 {
+// runRows applies fn to every row index in [0, n), sharding across
+// GOMAXPROCS pool workers. Errors are collected per index and the
+// lowest-index error is returned — the same error the sequential walk would
+// surface — so parallel execution never changes which failure a request
+// reports. A shard stops at its first error (like the sequential walk stops
+// the request), but other shards complete their already-started rows.
+func runRows(n int, fn func(i int) error) error {
+	shards := min(runtime.GOMAXPROCS(0), n)
+	if shards <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -88,13 +85,6 @@ func (b *Backend) runRows(n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	shards := workers
-	if shards > n {
-		shards = n
-	}
-	// Deterministic on a fixed configuration: counts shards dispatched, not
-	// a timing-dependent gauge, so chaos replays compare equal.
-	b.cWorkersBusy.Add(int64(shards))
 	errs := make([]error, n)
 	sharedPool().run(shards, func(shard int) {
 		for i := shard; i < n; i += shards {

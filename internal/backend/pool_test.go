@@ -3,21 +3,27 @@ package backend
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"repro/internal/obs"
 )
+
+// setProcs runs the rest of the test at GOMAXPROCS n, the data path's host
+// parallelism, and restores the previous value when the test ends.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
 
 // TestRunRowsCoversAllRows: every index is visited exactly once, sequential
 // and parallel alike.
 func TestRunRowsCoversAllRows(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
-		b, _ := testBackend(t, false)
-		b.SetHostWorkers(workers)
+		setProcs(t, workers)
 		const n = 100
 		var hits [n]atomic.Int32
-		if err := b.runRows(n, func(i int) error {
+		if err := runRows(n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		}); err != nil {
@@ -36,10 +42,9 @@ func TestRunRowsCoversAllRows(t *testing.T) {
 // shard finished when.
 func TestRunRowsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 4, 16} {
-		b, _ := testBackend(t, false)
-		b.SetHostWorkers(workers)
+		setProcs(t, workers)
 		rowErr := func(i int) error { return fmt.Errorf("row %d failed", i) }
-		err := b.runRows(64, func(i int) error {
+		err := runRows(64, func(i int) error {
 			if i == 7 || i == 3 || i == 50 {
 				return rowErr(i)
 			}
@@ -54,11 +59,10 @@ func TestRunRowsLowestIndexError(t *testing.T) {
 // TestRunRowsSequentialStopsEarly: the sequential path must keep the
 // original early-return contract — rows after the first failure never run.
 func TestRunRowsSequentialStopsEarly(t *testing.T) {
-	b, _ := testBackend(t, false)
-	b.SetHostWorkers(1)
+	setProcs(t, 1)
 	var ran atomic.Int32
 	sentinel := errors.New("boom")
-	err := b.runRows(10, func(i int) error {
+	err := runRows(10, func(i int) error {
 		ran.Add(1)
 		if i == 2 {
 			return sentinel
@@ -70,38 +74,6 @@ func TestRunRowsSequentialStopsEarly(t *testing.T) {
 	}
 	if got := ran.Load(); got != 3 {
 		t.Errorf("sequential walk ran %d rows after failure at row 2, want 3", got)
-	}
-}
-
-// TestRunRowsBusyCounter: backend.workers.busy counts dispatched shards —
-// a deterministic function of (workers, rows), never of timing.
-func TestRunRowsBusyCounter(t *testing.T) {
-	b, _ := testBackend(t, false)
-	reg := obs.NewRegistry()
-	b.SetObs(reg, nil)
-	c := reg.Counter("backend.workers.busy#t/vupmem0")
-	noop := func(int) error { return nil }
-
-	b.SetHostWorkers(1)
-	if err := b.runRows(8, noop); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Load(); got != 0 {
-		t.Errorf("sequential runRows moved workers.busy to %d", got)
-	}
-
-	b.SetHostWorkers(4)
-	if err := b.runRows(8, noop); err != nil { // 4 shards
-		t.Fatal(err)
-	}
-	if err := b.runRows(2, noop); err != nil { // capped at n=2 shards
-		t.Fatal(err)
-	}
-	if err := b.runRows(1, noop); err != nil { // single row: sequential
-		t.Fatal(err)
-	}
-	if got := c.Load(); got != 6 {
-		t.Errorf("workers.busy = %d, want 6 (4 + 2 + 0)", got)
 	}
 }
 

@@ -222,10 +222,9 @@ type Fig13Export struct {
 // counter snapshot records the suppressed-exit/coalesced-IRQ savings, and
 // the broadcast variant — checksum pushes one shared buffer to every DPU,
 // so collapsing shrinks the Page/Ser/Deser lanes while T-data stays put)
-// and returns the structured export. Every lane runs the sequential
-// host-worker twin: virtual time never depends on the worker budget, but
-// the backend.workers.busy counter counts pool shards, so pinning it keeps
-// the committed export byte-identical on any core count.
+// and returns the structured export. Every number in it is a function of
+// the workload, so the committed export is byte-identical on any core
+// count.
 func (h *Harness) Fig13Data() (*Fig13Export, error) {
 	size := h.scaledSize(8 << 20)
 	exp := &Fig13Export{
@@ -240,7 +239,6 @@ func (h *Harness) Fig13Data() (*Fig13Export, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts.HostWorkers = 1
 		_, vp, err := h.checksum(h.cfg.DPUsPerRank, size, 16, opts)
 		if err != nil {
 			return nil, fmt.Errorf("fig13 %s: %w", variant, err)

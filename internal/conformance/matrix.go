@@ -48,14 +48,6 @@ func Configs() []Config {
 		{Name: "vPIM+B", Opts: vmm.Options{Engine: cost.EngineC, Batch: true}},
 		{Name: "vPIM+PB", Opts: vmm.Options{Engine: cost.EngineC, Prefetch: true, Batch: true}},
 		{Name: "vPIM", Opts: vmm.Full(), Trace: true},
-		// Host-concurrency twins: the same full configuration with the real
-		// worker pool and rank fan-out forced on (even on single-CPU hosts)
-		// vs. forced fully sequential. Their digests must match the native
-		// reference like every other cell, and RunMatrix additionally
-		// asserts their virtual clocks are identical — real host goroutines
-		// must never leak into virtual time.
-		{Name: "vPIM-hostpar", Opts: hostWorkersOpts(vmm.Full(), 4)},
-		{Name: "vPIM-seqhost", Opts: hostWorkersOpts(vmm.Full(), 1)},
 		{Name: "vPIM-vhost", Opts: vmm.Options{Engine: cost.EngineC, Prefetch: true, Batch: true, Parallel: true, VhostVsock: true}},
 		{Name: "vPIM-rust-full", Opts: vmm.Options{Engine: cost.EngineRust, Prefetch: true, Batch: true, Parallel: true}},
 		{Name: "vPIM-oversub", Opts: vmm.Options{Engine: cost.EngineC, Prefetch: true, Batch: true, Parallel: true, Oversubscribe: true}, Oversub: true},
@@ -85,12 +77,6 @@ func bcastOpts(opts vmm.Options) vmm.Options {
 // pipelineOpts returns opts with the submission pipeline enabled.
 func pipelineOpts(opts vmm.Options) vmm.Options {
 	opts.Pipeline = true
-	return opts
-}
-
-// hostWorkersOpts returns opts with the host-worker budget pinned.
-func hostWorkersOpts(opts vmm.Options, workers int) vmm.Options {
-	opts.HostWorkers = workers
 	return opts
 }
 
@@ -191,11 +177,6 @@ func RunMatrix(apps []prim.App, report func(format string, args ...any)) error {
 		// plus Parallel, everything else equal.
 		if par, seq := totals["vPIM"], totals["vPIM+PB"]; par > seq {
 			return fmt.Errorf("%s: parallel clock %v exceeds sequential clock %v", app.Name, par, seq)
-		}
-		// Real host concurrency must be invisible to the virtual clock: the
-		// worker-pool-on and fully-sequential twins tick identically.
-		if par, seq := totals["vPIM-hostpar"], totals["vPIM-seqhost"]; par != seq {
-			return fmt.Errorf("%s: host-parallel clock %v differs from sequential-host clock %v", app.Name, par, seq)
 		}
 		// Suppressed notifications and coalesced IRQs cost no virtual time,
 		// so pipelining the full variant can only remove exit/IRQ charges.

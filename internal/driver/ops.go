@@ -213,10 +213,15 @@ func (f *Frontend) startLaunch(dpus []int, tl *simtime.Timeline) ([]byte, error)
 		return nil, err
 	}
 	f.cache.invalidate()
+	// The mask cannot carry a DPU past bit 63 or a repeated one, so the
+	// list is checked here as a native launch checks it.
 	var mask uint64
 	for _, d := range dpus {
 		if d < 0 || d >= 64 {
-			return nil, fmt.Errorf("driver: DPU %d outside mask range", d)
+			return nil, fmt.Errorf("driver: %w: %d", pim.ErrBadDPU, d)
+		}
+		if mask&(1<<uint(d)) != 0 {
+			return nil, fmt.Errorf("driver: %w: %d listed twice", pim.ErrBadDPU, d)
 		}
 		mask |= 1 << uint(d)
 	}

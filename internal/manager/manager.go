@@ -136,7 +136,7 @@ type FaultPolicy struct {
 	AllocStall func(owner string) time.Duration
 	// RankDead reports whether the rank's hardware has died. Dead ranks are
 	// quarantined when the manager is about to hand them out, or when
-	// CheckRank observes the death on an allocated rank.
+	// Acquire observes the death on an allocated rank.
 	RankDead func(rank int) bool
 	// FailCheckpoint reports whether checkpointing the given rank fails
 	// (the snapshot copy off a rank being preempted or migrated). The rank
@@ -606,28 +606,6 @@ func (m *Manager) RetryQuarantined() int {
 		m.grantWaitersLocked()
 	}
 	return revived
-}
-
-// CheckRank verifies an allocated rank against the fault policy: a rank that
-// died while allocated is quarantined (ALLO -> QUAR) and ErrRankFaulted is
-// returned so the owner can fail over or re-attach.
-func (m *Manager) CheckRank(r *pim.Rank) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.entries {
-		e := &m.entries[i]
-		if e.rank == r {
-			if e.state == StateQUAR {
-				return ErrRankFaulted
-			}
-			if m.fault != nil && m.fault.RankDead != nil && m.fault.RankDead(r.Index()) {
-				m.quarantineLocked(e)
-				return ErrRankFaulted
-			}
-			return nil
-		}
-	}
-	return nil
 }
 
 // Close shuts the allocation path down: pending waiters are woken with

@@ -7,10 +7,13 @@ import (
 	"repro/internal/pim"
 )
 
-// Migrate moves the tenant state of an allocated rank onto another
-// available rank and reassigns ownership: the dynamic workload
+// MigrateOwned moves the tenant state of owner's allocated rank onto
+// another available rank and reassigns ownership: the dynamic workload
 // consolidation mechanism the paper's conclusion proposes (checkpoint/
-// restore between launches, since UPMEM cannot pause a running task).
+// restore between launches, since UPMEM cannot pause a running task). It
+// refuses to move a rank that owner no longer holds (e.g. the tenant was
+// preempted and the rank reassigned between the owner deciding to migrate
+// and the call landing).
 //
 // On success the returned rank is ALLO for the same owner with identical
 // contents, and the source rank is NANA awaiting reset. The returned
@@ -19,21 +22,6 @@ import (
 // migration. On failure the duration covers whatever preparation work was
 // actually performed (a target reset, a checkpoint copy) — the caller owes
 // that time even though the migration did not happen.
-func (m *Manager) Migrate(from *pim.Rank) (*pim.Rank, time.Duration, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	src := m.entryLocked(from)
-	if src == nil || src.state != StateALLO {
-		return nil, 0, fmt.Errorf("%w: migration source", ErrNotAllocated)
-	}
-	return m.migrateLocked(src)
-}
-
-// MigrateOwned is Migrate with an ownership check: it refuses to move a
-// rank that owner no longer holds (e.g. the tenant was preempted and the
-// rank reassigned between the owner deciding to migrate and the call
-// landing). Callers that cache rank pointers across manager calls must use
-// this form.
 func (m *Manager) MigrateOwned(owner string, from *pim.Rank) (*pim.Rank, time.Duration, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -17,7 +17,7 @@ func TestMigrate(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst, dur, err := mgr.Migrate(src)
+	dst, dur, err := mgr.MigrateOwned("tenant", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMigratePrefersCleanThenResetsDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dst, _, err := mgr.Migrate(src)
+	dst, _, err := mgr.MigrateOwned("a", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,20 +85,20 @@ func TestMigrateErrors(t *testing.T) {
 	mach := testMachine(t, 1)
 	mgr := New(mach, Options{})
 	rank, _ := mach.Rank(0)
-	if _, _, err := mgr.Migrate(rank); !errors.Is(err, ErrNotAllocated) {
+	if _, _, err := mgr.MigrateOwned("only", rank); !errors.Is(err, ErrNotAllocated) {
 		t.Errorf("unallocated source: %v", err)
 	}
 	src, _, err := mgr.Alloc("only")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := mgr.Migrate(src); !errors.Is(err, ErrNoRanks) {
+	if _, _, err := mgr.MigrateOwned("only", src); !errors.Is(err, ErrNoRanks) {
 		t.Errorf("no target: %v", err)
 	}
 }
 
 // TestMigrateRacesRankDeath drives a countdown fault plan that kills the
-// preferred migration target exactly when Migrate's candidate scan reaches
+// preferred migration target exactly when MigrateOwned's candidate scan reaches
 // it: the dead rank must be quarantined and skipped, and the migration must
 // land on the surviving rank with contents intact.
 func TestMigrateRacesRankDeath(t *testing.T) {
@@ -125,7 +125,7 @@ func TestMigrateRacesRankDeath(t *testing.T) {
 		},
 	})
 
-	dst, _, err := mgr.Migrate(src)
+	dst, _, err := mgr.MigrateOwned("tenant", src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestMigrateRacesRankDeath(t *testing.T) {
 	// Kill every remaining target: the next migration must fail cleanly —
 	// ErrNoRanks, with the source still allocated and untouched.
 	mgr.SetFaultPolicy(&FaultPolicy{RankDead: func(rank int) bool { return rank != dst.Index() }})
-	if _, _, err := mgr.Migrate(dst); !errors.Is(err, ErrNoRanks) {
+	if _, _, err := mgr.MigrateOwned("tenant", dst); !errors.Is(err, ErrNoRanks) {
 		t.Fatalf("all-dead migration: %v", err)
 	}
 	if st := mgr.States()[dst.Index()]; st != StateALLO {
@@ -167,7 +167,7 @@ func TestMigrateCountsMigrationsNotGrants(t *testing.T) {
 		t.Fatal(err)
 	}
 	grants := mgr.Allocations()
-	if _, _, err := mgr.Migrate(src); err != nil {
+	if _, _, err := mgr.MigrateOwned("tenant", src); err != nil {
 		t.Fatal(err)
 	}
 	if got := mgr.Allocations(); got != grants {
@@ -199,7 +199,7 @@ func TestMigrateRestoreFailureQuarantinesTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.SetFaultPolicy(&FaultPolicy{FailRestore: func(rank int) bool { return rank != src.Index() }})
-	_, dur, err := mgr.Migrate(src)
+	_, dur, err := mgr.MigrateOwned("tenant", src)
 	if err == nil {
 		t.Fatal("migration with a failing restore must error")
 	}
@@ -242,7 +242,7 @@ func TestMigrateCheckpointFailureReoffersTarget(t *testing.T) {
 	}
 
 	mgr.SetFaultPolicy(&FaultPolicy{FailCheckpoint: func(rank int) bool { return rank == src.Index() }})
-	_, dur, err := mgr.Migrate(src)
+	_, dur, err := mgr.MigrateOwned("a", src)
 	if err == nil {
 		t.Fatal("migration with a failing checkpoint must error")
 	}
@@ -274,10 +274,10 @@ func TestMigrateCheckpointFailureReoffersTarget(t *testing.T) {
 }
 
 // TestMigrateSourceQuarantinedMidCopy quarantines the source (its death
-// observed through CheckRank, as the backend does mid-transfer) and then
-// attempts to migrate it: the manager must refuse cleanly with
-// ErrNotAllocated instead of checkpointing a dead rank, and the ownership
-// table must stay coherent.
+// observed through Acquire, which the backend calls before every
+// operation) and then attempts to migrate it: the manager must refuse
+// cleanly with ErrNotAllocated instead of checkpointing a dead rank, and
+// the ownership table must stay coherent.
 func TestMigrateSourceQuarantinedMidCopy(t *testing.T) {
 	mgr := New(testMachine(t, 2), Options{})
 	src, _, err := mgr.Alloc("tenant")
@@ -285,14 +285,14 @@ func TestMigrateSourceQuarantinedMidCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr.SetFaultPolicy(&FaultPolicy{RankDead: func(rank int) bool { return rank == src.Index() }})
-	if err := mgr.CheckRank(src); !errors.Is(err, ErrRankFaulted) {
-		t.Fatalf("CheckRank on dead allocated rank: %v", err)
+	if _, _, err := mgr.Acquire("tenant", src); !errors.Is(err, ErrRankFaulted) {
+		t.Fatalf("Acquire on dead allocated rank: %v", err)
 	}
 	if st := mgr.States()[src.Index()]; st != StateQUAR {
 		t.Fatalf("dead allocated rank must be QUAR, is %v", st)
 	}
 
-	if _, _, err := mgr.Migrate(src); !errors.Is(err, ErrNotAllocated) {
+	if _, _, err := mgr.MigrateOwned("tenant", src); !errors.Is(err, ErrNotAllocated) {
 		t.Fatalf("migrating a quarantined source: %v", err)
 	}
 	if owner := mgr.Owners()[src.Index()]; owner != "" {

@@ -205,7 +205,8 @@ func (m *Manager) preemptLocked(e *entry) bool {
 // Acquire pins owner's rank for one operation. Three cases:
 //
 //   - r is still owner's ALLO rank: revalidate against the fault policy
-//     (like CheckRank), pin, return it at zero cost.
+//     (a dead rank is quarantined and reported as ErrRankFaulted), pin,
+//     return it at zero cost.
 //   - owner was preempted (snapshot parked): allocate a rank through the
 //     normal blocking path — possibly preempting someone else — restore the
 //     snapshot onto it, pin, and return the new rank with the itemized

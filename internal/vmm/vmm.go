@@ -49,16 +49,6 @@ type Options struct {
 	// rather than the per-transition cost. Small writes stage only through
 	// the batch buffer, so without Batch they stay synchronous.
 	Pipeline bool
-	// HostWorkers bounds the real host-side concurrency of the backend data
-	// path: how many worker-pool shards one request's rows may occupy, and
-	// (together with Parallel) whether multi-rank requests fan out on real
-	// goroutines. 0 selects GOMAXPROCS; 1 makes the data path (row pool and
-	// rank fan-out) sequential. A launch still runs its DPUs on
-	// min(GOMAXPROCS, len(dpus)) workers, deterministic by construction.
-	// Digests, traces and virtual clocks are bit-identical at any setting —
-	// the conformance matrix compares 4 and 1. Virtual time never depends
-	// on this knob.
-	HostWorkers int
 	// Bcast enables broadcast deduplication: a write-to-rank whose rows all
 	// share one backing buffer travels as one wire row whose targets the
 	// request header's DPU mask names, and the backend writes it to every
@@ -171,11 +161,9 @@ type VM struct {
 	reg *obs.Registry
 	rec *obs.Recorder
 
-	// hostWorkers is the resolved Options.HostWorkers (GOMAXPROCS default);
 	// chainFaulted/backendFaulted track injected fault hooks, which force
 	// the rank fan-out back onto one goroutine so stateful chaos hooks are
 	// consulted in a deterministic order.
-	hostWorkers    int
 	chainFaulted   bool
 	backendFaulted bool
 
@@ -228,10 +216,6 @@ func NewVM(mach *pim.Machine, mgr manager.RankManager, cfg Config) (*VM, error) 
 	}
 	vm.path.SetObs(reg)
 	vm.mem.SetObs(reg)
-	vm.hostWorkers = cfg.Options.HostWorkers
-	if vm.hostWorkers == 0 {
-		vm.hostWorkers = runtime.GOMAXPROCS(0)
-	}
 
 	dopts := cfg.Options.Driver
 	dopts.Prefetch = cfg.Options.Prefetch
@@ -246,7 +230,6 @@ func NewVM(mach *pim.Machine, mgr manager.RankManager, cfg Config) (*VM, error) 
 		cq.SetObs(reg, id)
 		back := backend.New(id, mach, mgr, vm.mem, cfg.Options.Engine, vm.loop)
 		back.SetOversubscribe(cfg.Options.Oversubscribe)
-		back.SetHostWorkers(vm.hostWorkers)
 		back.SetObs(reg, rec)
 		tq.SetHandler(back.HandleWindow)
 		cq.SetHandler(back.HandleControl)
@@ -265,14 +248,15 @@ func NewVM(mach *pim.Machine, mgr manager.RankManager, cfg Config) (*VM, error) 
 
 // updateRealPar decides whether the VM's Par sections (the multi-rank
 // fan-out the Parallel event loop models) run on real goroutines. They do
-// only when every branch body is order-independent: span recording off (the
+// only when the process may run goroutines in parallel (GOMAXPROCS > 1)
+// and every branch body is order-independent: span recording off (the
 // trace is an ordered event stream) and no injected fault hooks (chaos
 // fuses are stateful countdowns whose consultation order seeds replay on).
 // Virtual time is identical either way; this gate only protects the
 // determinism of traces and chaos outcomes.
 func (vm *VM) updateRealPar() {
 	vm.tl.SetRealPar(vm.cfg.Options.Parallel &&
-		vm.hostWorkers > 1 &&
+		runtime.GOMAXPROCS(0) > 1 &&
 		!vm.rec.Enabled() &&
 		!vm.chainFaulted &&
 		!vm.backendFaulted)
@@ -316,7 +300,7 @@ func (vm *VM) Metrics() map[string]int64 { return vm.reg.Snapshot() }
 // EnableTracing switches per-request span recording on (off by default;
 // the counters are always live). Recording orders events on one stream, so
 // it also parks the rank fan-out back onto a single goroutine, keeping
-// TraceJSON byte-identical across runs and host-worker settings.
+// TraceJSON byte-identical across runs and GOMAXPROCS settings.
 func (vm *VM) EnableTracing() {
 	vm.rec.Enable()
 	vm.updateRealPar()

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/hostmem"
 	"repro/internal/manager"
+	"repro/internal/native"
 	"repro/internal/obs"
 	"repro/internal/pim"
 	"repro/internal/prim"
@@ -505,6 +506,47 @@ func TestGuestKernelPanicIsDPUFault(t *testing.T) {
 	}
 	if err := upmem.RunChecksum(other, upmem.ChecksumParams{DPUs: 4, BytesPerDPU: 64 << 10}); err != nil {
 		t.Fatalf("next tenant on the rank: %v", err)
+	}
+}
+
+// TestLaunchRejectsBadDPUList: a launch that names a DPU outside the rank
+// (NumDPUs, -1) or one DPU twice fails with pim.ErrBadDPU under
+// vmm.Full(), as it does natively (transparency, R3), instead of running
+// the DPUs the mask could carry and reporting success.
+func TestLaunchRejectsBadDPUList(t *testing.T) {
+	mach, mgr := testStack(t, 1)
+	rank, err := mach.Rank(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm, err := NewVM(mach, mgr, Config{Name: "guest", Options: Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, env := range []struct {
+		name string
+		env  sdk.Env
+	}{
+		{"native", native.NewEnv(mach, mgr, 64<<20)},
+		{"vPIM", vm},
+	} {
+		set, err := env.env.AllocSet(rank.NumDPUs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.Load("noop"); err != nil {
+			t.Fatal(err)
+		}
+		for _, dpus := range [][]int{{rank.NumDPUs()}, {-1}, {0, 1, 1}} {
+			err := set.Devices()[0].Launch(dpus, env.env.Timeline())
+			if !errors.Is(err, pim.ErrBadDPU) {
+				t.Errorf("%s: launch on DPUs %v of a %d-DPU rank = %v, want pim.ErrBadDPU",
+					env.name, dpus, rank.NumDPUs(), err)
+			}
+		}
+		if err := set.Free(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
