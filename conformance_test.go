@@ -1,7 +1,12 @@
 package vpim_test
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/conformance"
@@ -32,14 +37,71 @@ func matrixApps(t *testing.T) []prim.App {
 	return apps
 }
 
+var update = flag.Bool("update", false, "rewrite "+nativeGolden+" from this run")
+
+// nativeGolden holds one line per kernel-running application: its name,
+// readback digest, native virtual clock and DPU-phase time, both in ns.
+var nativeGolden = filepath.Join("testdata", "native_kernels.golden")
+
 // TestConformanceMatrix runs the PrIM suite through every configuration of
 // the conformance matrix (native reference, all Table 2 variants, both
 // copy engines, vhost, parallel on/off, multi-VM oversubscription) and
 // asserts bit-exact output agreement plus the counter and virtual-clock
-// invariants.
+// invariants. The native reference runs, plus one native index search,
+// must also match their lines in the golden file: the other cells only
+// compare runs with each other, so a kernel that lost a Tick would pass
+// them. Regenerate the file with `go test -run TestConformanceMatrix
+// -update .` (not -short) after an intended change to a kernel's cost.
 func TestConformanceMatrix(t *testing.T) {
-	if err := conformance.RunMatrix(matrixApps(t), t.Logf); err != nil {
+	runs, err := conformance.RunMatrix(matrixApps(t), t.Logf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	is, err := conformance.NativeIndexSearch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNativeGolden(t, append(runs, is))
+}
+
+// checkNativeGolden compares each run with its golden line, or rewrites the
+// golden file under -update.
+func checkNativeGolden(t *testing.T, runs []conformance.NativeRun) {
+	t.Helper()
+	line := func(r conformance.NativeRun) string {
+		return fmt.Sprintf("%s %v %d %d", r.App, r.Digest, r.Clock.Nanoseconds(), r.DPU.Nanoseconds())
+	}
+	if *update {
+		if len(runs) != len(prim.Apps())+1 {
+			t.Fatalf("-update needs every app; run it without -short and -race")
+		}
+		var b strings.Builder
+		b.WriteString("# app digest native_clock_ns dpu_phase_ns\n")
+		for _, r := range runs {
+			b.WriteString(line(r) + "\n")
+		}
+		if err := os.MkdirAll(filepath.Dir(nativeGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(nativeGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(nativeGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := make(map[string]string)
+	for _, l := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(l); len(f) > 0 && !strings.HasPrefix(l, "#") {
+			golden[f[0]] = l
+		}
+	}
+	for _, r := range runs {
+		if got, want := line(r), golden[r.App]; got != want {
+			t.Errorf("native %s run differs from %s:\n got %s\nwant %s", r.App, nativeGolden, got, want)
+		}
 	}
 }
 

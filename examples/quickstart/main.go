@@ -32,37 +32,42 @@ func countZerosKernel() *vpim.Kernel {
 			{Name: "zero_count", Bytes: 8},
 			{Name: "partition_size", Bytes: 4},
 		},
-		Run: func(ctx *vpim.KernelCtx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			partBytes, err := ctx.HostU32("partition_size")
-			if err != nil {
-				return err
-			}
-			per := int(partBytes) / ctx.NumTasklets()
-			buf, err := ctx.Alloc(2048)
-			if err != nil {
-				return err
-			}
-			base := int64(ctx.Me() * per)
-			var count uint64
-			for off := 0; off < per; off += len(buf) {
-				n := min(len(buf), per-off)
-				if err := ctx.MRAMRead(base+int64(off), buf[:n]); err != nil {
-					return err
-				}
-				for i := 0; i+4 <= n; i += 4 {
-					if binary.LittleEndian.Uint32(buf[i:]) == 0 {
-						count++
-					}
-				}
-				ctx.Tick(int64(n))
-			}
-			return ctx.AddHostU64("zero_count", count)
-		},
+		Run: countZerosTasklet,
 	}
+}
+
+// countZerosTasklet is the DPU-side main, run once per tasklet. Keep a
+// kernel body a named function like this one: Go compiles a closure
+// returned by an inlined constructor without inlining the calls in it.
+func countZerosTasklet(ctx *vpim.KernelCtx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	partBytes, err := ctx.HostU32("partition_size")
+	if err != nil {
+		return err
+	}
+	per := int(partBytes) / ctx.NumTasklets()
+	buf, err := ctx.Alloc(2048)
+	if err != nil {
+		return err
+	}
+	base := int64(ctx.Me() * per)
+	var count uint64
+	for off := 0; off < per; off += len(buf) {
+		n := min(len(buf), per-off)
+		if err := ctx.MRAMRead(base+int64(off), buf[:n]); err != nil {
+			return err
+		}
+		for i := 0; i+4 <= n; i += 4 {
+			if binary.LittleEndian.Uint32(buf[i:]) == 0 {
+				count++
+			}
+		}
+		ctx.Tick(int64(n))
+	}
+	return ctx.AddHostU64("zero_count", count)
 }
 
 // countZeros is the host-side program (Fig. 2a): allocate, load, distribute,

@@ -5,20 +5,16 @@ import (
 	"sync"
 )
 
-// hostPool is the process-wide persistent worker pool backing the data
+// rowPool is the process-wide persistent worker pool backing the data
 // path's real host concurrency: every Backend shards its rows over it, so
 // booting many short-lived VMs (the conformance matrix boots hundreds) does
 // not leak per-VM goroutines. Workers park on an unbuffered channel; a
-// submission that finds no idle worker runs inline on the submitting
-// goroutine, which also makes nested submissions (rank fan-out goroutines
-// sharding their own rows) deadlock-free.
-type hostPool struct {
-	jobs chan func()
-}
-
-var sharedPoolState struct {
+// shard that finds no idle worker runs inline on the submitting goroutine,
+// which also makes nested submissions (rank fan-out goroutines sharding
+// their own rows) deadlock-free.
+var rowPool struct {
 	once sync.Once
-	p    *hostPool
+	jobs chan rowShard
 }
 
 // minPoolWorkers keeps a few workers alive even when the pool starts at
@@ -27,54 +23,62 @@ var sharedPoolState struct {
 // spreads its shards over real goroutines.
 const minPoolWorkers = 4
 
-// sharedPool lazily starts the process-wide pool.
-func sharedPool() *hostPool {
-	sharedPoolState.once.Do(func() {
-		n := runtime.GOMAXPROCS(0)
-		if n < minPoolWorkers {
-			n = minPoolWorkers
-		}
-		p := &hostPool{jobs: make(chan func())}
+// rowJobs lazily starts the pool and returns its job channel.
+func rowJobs() chan<- rowShard {
+	rowPool.once.Do(func() {
+		rowPool.jobs = make(chan rowShard)
+		n := max(runtime.GOMAXPROCS(0), minPoolWorkers)
 		for i := 0; i < n; i++ {
-			go p.worker()
+			go func() {
+				for j := range rowPool.jobs {
+					j.call.run(j.shard)
+				}
+			}()
 		}
-		sharedPoolState.p = p
 	})
-	return sharedPoolState.p
+	return rowPool.jobs
 }
 
-func (p *hostPool) worker() {
-	for job := range p.jobs {
-		job()
-	}
+// rowCall is one multi-row request in flight: its row function, its shard
+// count, and the lowest-index error any shard has reported so far. A
+// worker receives a value naming the call and a shard, not a closure, so a
+// request allocates only its rowCall.
+type rowCall struct {
+	fn     func(i int) error
+	n      int
+	shards int
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	errAt  int
+	err    error
 }
 
-// run executes fn(shard) for every shard in [0, n) concurrently and waits
-// for all of them. Shards beyond the pool's idle capacity run inline.
-func (p *hostPool) run(n int, fn func(shard int)) {
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		job := func() {
-			defer wg.Done()
-			fn(i)
-		}
-		select {
-		case p.jobs <- job:
-		default:
-			job()
+type rowShard struct {
+	call  *rowCall
+	shard int
+}
+
+// run walks rows shard, shard+shards, ... and stops at its first error.
+func (c *rowCall) run(shard int) {
+	defer c.wg.Done()
+	for i := shard; i < c.n; i += c.shards {
+		if err := c.fn(i); err != nil {
+			c.mu.Lock()
+			if i < c.errAt {
+				c.errAt, c.err = i, err
+			}
+			c.mu.Unlock()
+			return
 		}
 	}
-	wg.Wait()
 }
 
 // runRows applies fn to every row index in [0, n), sharding across
-// GOMAXPROCS pool workers. Errors are collected per index and the
-// lowest-index error is returned — the same error the sequential walk would
-// surface — so parallel execution never changes which failure a request
-// reports. A shard stops at its first error (like the sequential walk stops
-// the request), but other shards complete their already-started rows.
+// GOMAXPROCS pool workers. It returns the lowest-index error — the same
+// error the sequential walk would surface — so parallel execution never
+// changes which failure a request reports. A shard stops at its first error
+// (like the sequential walk stops the request), but other shards complete
+// their already-started rows.
 func runRows(n int, fn func(i int) error) error {
 	shards := min(runtime.GOMAXPROCS(0), n)
 	if shards <= 1 {
@@ -85,18 +89,16 @@ func runRows(n int, fn func(i int) error) error {
 		}
 		return nil
 	}
-	errs := make([]error, n)
-	sharedPool().run(shards, func(shard int) {
-		for i := shard; i < n; i += shards {
-			if errs[i] = fn(i); errs[i] != nil {
-				return
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
+	c := &rowCall{fn: fn, n: n, shards: shards, errAt: n}
+	c.wg.Add(shards)
+	jobs := rowJobs()
+	for s := 0; s < shards; s++ {
+		select {
+		case jobs <- rowShard{c, s}:
+		default:
+			c.run(s)
 		}
 	}
-	return nil
+	c.wg.Wait()
+	return c.err
 }

@@ -77,18 +77,49 @@ func TestRunRowsSequentialStopsEarly(t *testing.T) {
 	}
 }
 
-// TestSharedPoolNestedSubmission: a job running on the pool can itself call
-// run without deadlocking (oversubscribed submissions fall back inline) —
-// the rank-fanout-over-row-pool nesting the VMM produces.
+// TestSharedPoolNestedSubmission: a row running on the pool can itself call
+// runRows without deadlocking (shards that find no idle worker run inline)
+// — the rank-fanout-over-row-pool nesting the VMM produces.
 func TestSharedPoolNestedSubmission(t *testing.T) {
-	p := sharedPool()
+	setProcs(t, 4)
 	var total atomic.Int32
-	p.run(32, func(outer int) {
-		p.run(8, func(inner int) {
+	err := runRows(32, func(outer int) error {
+		return runRows(8, func(inner int) error {
 			total.Add(1)
+			return nil
 		})
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := total.Load(); got != 32*8 {
-		t.Errorf("nested pool runs executed %d jobs, want %d", got, 32*8)
+		t.Errorf("nested pool runs executed %d rows, want %d", got, 32*8)
+	}
+}
+
+// TestRowPoolAllocsPerRequest: a multi-row request allocates at most its
+// rowCall. testing.AllocsPerRun would pin GOMAXPROCS to 1 and so take the
+// sequential path; this counts heap objects around many two-shard requests
+// at GOMAXPROCS 2 instead.
+func TestRowPoolAllocsPerRequest(t *testing.T) {
+	setProcs(t, 2)
+	fn := func(int) error { return nil }
+	if err := runRows(2, fn); err != nil { // starts the pool
+		t.Fatal(err)
+	}
+	const calls = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if err := runRows(2, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// The count is process-wide: allow the few objects the runtime's own
+	// goroutines allocate over the loop (up to ten per thousand requests on
+	// a 2-CPU host), not a second object per request.
+	if got := after.Mallocs - before.Mallocs; got > calls+calls/10 {
+		t.Errorf("%d requests allocated %d objects, want at most one each", calls, got)
 	}
 }

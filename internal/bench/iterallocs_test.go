@@ -48,8 +48,8 @@ func iterPushPull(set *sdk.Set, bcast bool, src, dst []hostmem.Buffer) error {
 // allocs/op column isolates the per-transfer hot path (the pooled backend
 // deserialization scratch, the pooled batch reassembly buffers and the
 // frontend's reused row slice). The count follows -cpu: above 1 the row
-// pool and the rank fan-out add their per-request shards, so compare runs
-// at one -cpu value.
+// pool adds one object per multi-row request, so compare runs at one -cpu
+// value.
 func benchIterAllocs(b *testing.B, bcast bool) {
 	b.Helper()
 	mach, err := pim.NewMachine(pim.MachineConfig{

@@ -271,7 +271,7 @@ func RunChaos(cfg ChaosConfig) (*Outcome, error) {
 			return nil, fmt.Errorf("reference %s: %w", n, err)
 		}
 		apps = append(apps, app)
-		refs[n] = ref
+		refs[n] = ref.Digest
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))

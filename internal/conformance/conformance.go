@@ -27,6 +27,8 @@ import (
 	"repro/internal/pim"
 	"repro/internal/prim"
 	"repro/internal/sdk"
+	"repro/internal/trace"
+	"repro/internal/upmem"
 	"repro/internal/vmm"
 )
 
@@ -139,15 +141,56 @@ func RunApp(env sdk.Env, app prim.App, p prim.Params) (Digest, error) {
 	return d.digest(), nil
 }
 
-// nativeReference runs app on a fresh native machine and returns its digest:
-// the ground truth every virtualized configuration must reproduce.
-func nativeReference(app prim.App) (Digest, error) {
+// NativeRun is one application's native reference run: its readback
+// digest, the virtual clock at completion and the DPU phase's share of that
+// clock. Only the cost model and the kernel's own Tick, DMA and barrier
+// calls set the two times, so a golden copy of them pins each kernel's
+// virtual cost.
+type NativeRun struct {
+	App    string
+	Digest Digest
+	Clock  time.Duration
+	DPU    time.Duration
+}
+
+// nativeReference runs app on a fresh native machine: the ground truth every
+// virtualized configuration must reproduce.
+func nativeReference(app prim.App) (NativeRun, error) {
 	mach, mgr, err := newMachine()
 	if err != nil {
-		return Digest{}, err
+		return NativeRun{}, err
 	}
 	env := native.NewEnv(mach, mgr, 16<<30)
-	return RunApp(env, app, params())
+	dg, err := RunApp(env, app, params())
+	if err != nil {
+		return NativeRun{}, err
+	}
+	return nativeRun(app.Name, env, dg), nil
+}
+
+func nativeRun(name string, env *native.Env, dg Digest) NativeRun {
+	return NativeRun{App: name, Digest: dg, Clock: env.Timeline().Now(), DPU: env.Tracker().Get(trace.PhaseDPU)}
+}
+
+// NativeIndexSearch runs the Wikipedia index search natively on a fresh
+// conformance machine over a test-sized corpus. No conformance cell runs
+// the upmem kernels; BENCH_fig13.json pins checksum, and this run covers
+// the other one.
+func NativeIndexSearch() (NativeRun, error) {
+	mach, mgr, err := newMachine()
+	if err != nil {
+		return NativeRun{}, err
+	}
+	if err := upmem.Register(mach.Registry()); err != nil {
+		return NativeRun{}, err
+	}
+	env := native.NewEnv(mach, mgr, 1<<30)
+	d := newDigester()
+	p := upmem.IndexSearchParams{DPUs: confSetDPUs, Docs: 200, TermsPerDoc: 60, Queries: 64, BatchSize: 32}
+	if err := upmem.RunIndexSearch(&digestEnv{Env: env, d: d}, p); err != nil {
+		return NativeRun{}, err
+	}
+	return nativeRun("IndexSearch", env, d.digest()), nil
 }
 
 // RunCell runs one PrIM application (by short name) on a fresh conformance

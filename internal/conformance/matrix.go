@@ -85,13 +85,14 @@ type runResult struct {
 	digest   Digest
 	total    time.Duration // virtual clock at completion
 	counters map[string]int64
+	native   NativeRun // the native cell only
 }
 
 // runConfig executes app under cfg on a fresh machine.
 func runConfig(cfg Config, app prim.App) (runResult, error) {
 	if cfg.Native {
-		dg, err := nativeReference(app)
-		return runResult{digest: dg}, err
+		ref, err := nativeReference(app)
+		return runResult{digest: ref.Digest, native: ref}, err
 	}
 	if cfg.TimeSlice {
 		return runTimeSliceCell(app)
@@ -149,24 +150,27 @@ func runConfig(cfg Config, app prim.App) (runResult, error) {
 // RunMatrix runs each application through every configuration, asserting
 // that all digests agree with the native reference and that the parallel
 // event loop never makes the virtual clock slower than its sequential
-// twin. The report callback (optional) receives one line per cell.
-func RunMatrix(apps []prim.App, report func(format string, args ...any)) error {
+// twin. It returns each application's native reference run. The report
+// callback (optional) receives one line per cell.
+func RunMatrix(apps []prim.App, report func(format string, args ...any)) ([]NativeRun, error) {
 	if report == nil {
 		report = func(string, ...any) {}
 	}
 	cfgs := Configs()
+	refs := make([]NativeRun, 0, len(apps))
 	for _, app := range apps {
 		var ref Digest
 		totals := make(map[string]time.Duration, len(cfgs))
 		for i, cfg := range cfgs {
 			res, err := runConfig(cfg, app)
 			if err != nil {
-				return fmt.Errorf("%s/%s: %w", app.Name, cfg.Name, err)
+				return nil, fmt.Errorf("%s/%s: %w", app.Name, cfg.Name, err)
 			}
 			if i == 0 {
 				ref = res.digest
+				refs = append(refs, res.native)
 			} else if res.digest != ref {
-				return fmt.Errorf("%s/%s: digest %v disagrees with native reference %v",
+				return nil, fmt.Errorf("%s/%s: digest %v disagrees with native reference %v",
 					app.Name, cfg.Name, res.digest, ref)
 			}
 			totals[cfg.Name] = res.total
@@ -176,19 +180,19 @@ func RunMatrix(apps []prim.App, report func(format string, args ...any)) error {
 		// sequential event loop on a multi-rank machine: vPIM is vPIM+PB
 		// plus Parallel, everything else equal.
 		if par, seq := totals["vPIM"], totals["vPIM+PB"]; par > seq {
-			return fmt.Errorf("%s: parallel clock %v exceeds sequential clock %v", app.Name, par, seq)
+			return nil, fmt.Errorf("%s: parallel clock %v exceeds sequential clock %v", app.Name, par, seq)
 		}
 		// Suppressed notifications and coalesced IRQs cost no virtual time,
 		// so pipelining the full variant can only remove exit/IRQ charges.
 		if pipe, sync := totals["vPIM-pipe"], totals["vPIM"]; pipe > sync {
-			return fmt.Errorf("%s: pipelined clock %v exceeds synchronous clock %v", app.Name, pipe, sync)
+			return nil, fmt.Errorf("%s: pipelined clock %v exceeds synchronous clock %v", app.Name, pipe, sync)
 		}
 		// Broadcast deduplication only removes page-management, serialization
 		// and translation charges; rank-side byte movement is unchanged, so
 		// the collapsed variant can never be slower than the full one.
 		if bc, sync := totals["vPIM-bcast"], totals["vPIM"]; bc > sync {
-			return fmt.Errorf("%s: broadcast clock %v exceeds synchronous clock %v", app.Name, bc, sync)
+			return nil, fmt.Errorf("%s: broadcast clock %v exceeds synchronous clock %v", app.Name, bc, sync)
 		}
 	}
-	return nil
+	return refs, nil
 }

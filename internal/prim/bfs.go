@@ -37,153 +37,155 @@ func bfsKernel() *pim.Kernel {
 			{Name: "bfs_vis_off", Bytes: 4},
 			{Name: "bfs_next_off", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			get := func(name string) (int, error) {
-				v, err := ctx.HostU32(name)
-				return int(v), err
-			}
-			verts, err := get("bfs_verts")
-			if err != nil {
-				return err
-			}
-			base, err := get("bfs_base")
-			if err != nil {
-				return err
-			}
-			words, err := get("bfs_words")
-			if err != nil {
-				return err
-			}
-			colOff, err := get("bfs_col_off")
-			if err != nil {
-				return err
-			}
-			frontOff, err := get("bfs_front_off")
-			if err != nil {
-				return err
-			}
-			visOff, err := get("bfs_vis_off")
-			if err != nil {
-				return err
-			}
-			nextOff, err := get("bfs_next_off")
-			if err != nil {
-				return err
-			}
-			bmBytes := words * 8
-
-			// The visited and next-frontier bitmaps stay WRAM-resident for
-			// the launch (random access per neighbor); only the DPU's own
-			// slice of the frontier is needed, loaded with 8-byte slack for
-			// alignment.
-			vis, err := ctx.Shared("bfs_vis", bmBytes)
-			if err != nil {
-				return err
-			}
-			next, err := ctx.Shared("bfs_next", bmBytes)
-			if err != nil {
-				return err
-			}
-			frontStart := base / 8
-			frontAligned := frontStart &^ 7
-			frontSlack := frontStart - frontAligned
-			ownBytes := (verts + 7) / 8
-			frontLen := (frontSlack + ownBytes + 7) &^ 7
-			front, err := ctx.Shared("bfs_front", frontLen)
-			if err != nil {
-				return err
-			}
-			if ctx.Me() == 0 {
-				for off := 0; off < bmBytes; off += 2048 {
-					cnt := bmBytes - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMRead(int64(visOff)+int64(off), vis[off:off+cnt]); err != nil {
-						return err
-					}
-				}
-				for off := 0; off < frontLen; off += 2048 {
-					cnt := frontLen - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMRead(int64(frontOff)+int64(frontAligned)+int64(off), front[off:off+cnt]); err != nil {
-						return err
-					}
-				}
-				clear(next)
-			}
-			ctx.Barrier()
-
-			ownBit := func(v int) bool {
-				// v is DPU-local; the slice was loaded from frontAligned.
-				idx := frontSlack*8 + v
-				return front[idx/8]&(1<<(uint(idx)%8)) != 0
-			}
-			bit := func(bm []byte, v int) bool { return bm[v/8]&(1<<(uint(v)%8)) != 0 }
-
-			rp, err := ctx.Alloc(16)
-			if err != nil {
-				return err
-			}
-			nbr, err := ctx.Alloc(512)
-			if err != nil {
-				return err
-			}
-			nt := ctx.NumTasklets()
-			for v := ctx.Me(); v < verts; v += nt {
-				if !ownBit(v) {
-					continue
-				}
-				rpBase := int64(v&^1) * 4
-				if err := ctx.MRAMRead(rpBase, rp); err != nil {
-					return err
-				}
-				idx := v & 1
-				lo := int(u32At(rp, idx))
-				hi := int(u32At(rp, idx+1))
-				for pos := lo; pos < hi; {
-					cnt := hi - pos
-					if cnt > 126 {
-						cnt = 126
-					}
-					shift := pos & 1
-					n := (cnt + shift + 1) &^ 1
-					if err := ctx.MRAMRead(int64(colOff)+int64(pos&^1)*4, nbr[:n*4]); err != nil {
-						return err
-					}
-					for i := 0; i < cnt; i++ {
-						w := int(u32At(nbr, i+shift))
-						if !bit(vis, w) {
-							ctx.Lock()
-							next[w/8] |= 1 << (uint(w) % 8)
-							ctx.Unlock()
-						}
-					}
-					ctx.Tick(int64(cnt) * 7)
-					pos += cnt
-				}
-			}
-			ctx.Barrier()
-			if ctx.Me() == 0 {
-				for off := 0; off < bmBytes; off += 2048 {
-					cnt := bmBytes - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMWrite(next[off:off+cnt], int64(nextOff)+int64(off)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		},
+		Run: runBFSKernel,
 	}
+}
+
+func runBFSKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	get := func(name string) (int, error) {
+		v, err := ctx.HostU32(name)
+		return int(v), err
+	}
+	verts, err := get("bfs_verts")
+	if err != nil {
+		return err
+	}
+	base, err := get("bfs_base")
+	if err != nil {
+		return err
+	}
+	words, err := get("bfs_words")
+	if err != nil {
+		return err
+	}
+	colOff, err := get("bfs_col_off")
+	if err != nil {
+		return err
+	}
+	frontOff, err := get("bfs_front_off")
+	if err != nil {
+		return err
+	}
+	visOff, err := get("bfs_vis_off")
+	if err != nil {
+		return err
+	}
+	nextOff, err := get("bfs_next_off")
+	if err != nil {
+		return err
+	}
+	bmBytes := words * 8
+
+	// The visited and next-frontier bitmaps stay WRAM-resident for
+	// the launch (random access per neighbor); only the DPU's own
+	// slice of the frontier is needed, loaded with 8-byte slack for
+	// alignment.
+	vis, err := ctx.Shared("bfs_vis", bmBytes)
+	if err != nil {
+		return err
+	}
+	next, err := ctx.Shared("bfs_next", bmBytes)
+	if err != nil {
+		return err
+	}
+	frontStart := base / 8
+	frontAligned := frontStart &^ 7
+	frontSlack := frontStart - frontAligned
+	ownBytes := (verts + 7) / 8
+	frontLen := (frontSlack + ownBytes + 7) &^ 7
+	front, err := ctx.Shared("bfs_front", frontLen)
+	if err != nil {
+		return err
+	}
+	if ctx.Me() == 0 {
+		for off := 0; off < bmBytes; off += 2048 {
+			cnt := bmBytes - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMRead(int64(visOff)+int64(off), vis[off:off+cnt]); err != nil {
+				return err
+			}
+		}
+		for off := 0; off < frontLen; off += 2048 {
+			cnt := frontLen - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMRead(int64(frontOff)+int64(frontAligned)+int64(off), front[off:off+cnt]); err != nil {
+				return err
+			}
+		}
+		clear(next)
+	}
+	ctx.Barrier()
+
+	ownBit := func(v int) bool {
+		// v is DPU-local; the slice was loaded from frontAligned.
+		idx := frontSlack*8 + v
+		return front[idx/8]&(1<<(uint(idx)%8)) != 0
+	}
+	bit := func(bm []byte, v int) bool { return bm[v/8]&(1<<(uint(v)%8)) != 0 }
+
+	rp, err := ctx.Alloc(16)
+	if err != nil {
+		return err
+	}
+	nbr, err := ctx.Alloc(512)
+	if err != nil {
+		return err
+	}
+	nt := ctx.NumTasklets()
+	for v := ctx.Me(); v < verts; v += nt {
+		if !ownBit(v) {
+			continue
+		}
+		rpBase := int64(v&^1) * 4
+		if err := ctx.MRAMRead(rpBase, rp); err != nil {
+			return err
+		}
+		idx := v & 1
+		lo := int(u32At(rp, idx))
+		hi := int(u32At(rp, idx+1))
+		for pos := lo; pos < hi; {
+			cnt := hi - pos
+			if cnt > 126 {
+				cnt = 126
+			}
+			shift := pos & 1
+			n := (cnt + shift + 1) &^ 1
+			if err := ctx.MRAMRead(int64(colOff)+int64(pos&^1)*4, nbr[:n*4]); err != nil {
+				return err
+			}
+			for i := 0; i < cnt; i++ {
+				w := int(u32At(nbr, i+shift))
+				if !bit(vis, w) {
+					ctx.Lock()
+					next[w/8] |= 1 << (uint(w) % 8)
+					ctx.Unlock()
+				}
+			}
+			ctx.Tick(int64(cnt) * 7)
+			pos += cnt
+		}
+	}
+	ctx.Barrier()
+	if ctx.Me() == 0 {
+		for off := 0; off < bmBytes; off += 2048 {
+			cnt := bmBytes - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMWrite(next[off:off+cnt], int64(nextOff)+int64(off)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RunBFS executes BFS from vertex 0 and checks every vertex level.

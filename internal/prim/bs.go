@@ -29,84 +29,86 @@ func bsKernel() *pim.Kernel {
 			{Name: "bs_n", Bytes: 4},
 			{Name: "bs_q", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("bs_n")
-			if err != nil {
-				return err
-			}
-			q32, err := ctx.HostU32("bs_q")
-			if err != nil {
-				return err
-			}
-			n, q := int(n32), int(q32)
-			nBytes := int64(n) * 4
-			qBytes := int64(q) * 4
-			qBuf, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			probe, err := ctx.Alloc(8)
-			if err != nil {
-				return err
-			}
-			out, err := ctx.Alloc(8)
-			if err != nil {
-				return err
-			}
-			nt := ctx.NumTasklets()
-			perQ := padTo((q+nt-1)/nt, 2)
-			start := ctx.Me() * perQ
-			end := start + perQ
-			if end > q {
-				end = q
-			}
-			if start > q {
-				start = q
-			}
-			for qoff := start; qoff < end; qoff += 256 {
-				cnt := 256
-				if end-qoff < cnt {
-					cnt = end - qoff
-				}
-				if err := ctx.MRAMRead(nBytes+int64(qoff)*4, qBuf[:cnt*4]); err != nil {
+		Run: runBSKernel,
+	}
+}
+
+func runBSKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("bs_n")
+	if err != nil {
+		return err
+	}
+	q32, err := ctx.HostU32("bs_q")
+	if err != nil {
+		return err
+	}
+	n, q := int(n32), int(q32)
+	nBytes := int64(n) * 4
+	qBytes := int64(q) * 4
+	qBuf, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	probe, err := ctx.Alloc(8)
+	if err != nil {
+		return err
+	}
+	out, err := ctx.Alloc(8)
+	if err != nil {
+		return err
+	}
+	nt := ctx.NumTasklets()
+	perQ := padTo((q+nt-1)/nt, 2)
+	start := ctx.Me() * perQ
+	end := start + perQ
+	if end > q {
+		end = q
+	}
+	if start > q {
+		start = q
+	}
+	for qoff := start; qoff < end; qoff += 256 {
+		cnt := 256
+		if end-qoff < cnt {
+			cnt = end - qoff
+		}
+		if err := ctx.MRAMRead(nBytes+int64(qoff)*4, qBuf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			target := u32At(qBuf, i)
+			lo, hi := 0, n-1
+			res := uint32(bsMiss)
+			for lo <= hi {
+				mid := (lo + hi) / 2
+				// Each probe is one aligned 8-byte MRAM read.
+				if err := ctx.MRAMRead(int64(mid&^1)*4, probe); err != nil {
 					return err
 				}
-				for i := 0; i < cnt; i++ {
-					target := u32At(qBuf, i)
-					lo, hi := 0, n-1
-					res := uint32(bsMiss)
-					for lo <= hi {
-						mid := (lo + hi) / 2
-						// Each probe is one aligned 8-byte MRAM read.
-						if err := ctx.MRAMRead(int64(mid&^1)*4, probe); err != nil {
-							return err
-						}
-						v := u32At(probe, mid&1)
-						switch {
-						case v == target:
-							res = uint32(mid)
-							lo = hi + 1
-						case v < target:
-							lo = mid + 1
-						default:
-							hi = mid - 1
-						}
-						ctx.Tick(8)
-					}
-					putU32At(out, 0, res)
-					putU32At(out, 1, 0)
-					if err := ctx.MRAMWrite(out, nBytes+qBytes+int64(qoff+i)*8); err != nil {
-						return err
-					}
+				v := u32At(probe, mid&1)
+				switch {
+				case v == target:
+					res = uint32(mid)
+					lo = hi + 1
+				case v < target:
+					lo = mid + 1
+				default:
+					hi = mid - 1
 				}
+				ctx.Tick(8)
 			}
-			return nil
-		},
+			putU32At(out, 0, res)
+			putU32At(out, 1, 0)
+			if err := ctx.MRAMWrite(out, nBytes+qBytes+int64(qoff+i)*8); err != nil {
+				return err
+			}
+		}
 	}
+	return nil
 }
 
 // RunBS executes the batch binary search and checks every query position.

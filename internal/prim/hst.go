@@ -29,99 +29,101 @@ func hstKernel(name string, bins int, private bool) *pim.Kernel {
 		Tasklets:  DefaultTasklets,
 		CodeBytes: 7 << 10,
 		Symbols:   []pim.Symbol{{Name: "hst_n", Bytes: 4}},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("hst_n")
-			if err != nil {
-				return err
-			}
-			n := int(n32)
-			nBytes := int64(n) * 4
-			nt := ctx.NumTasklets()
-			shift := uint(hstDepth) - uint(log2(bins))
-
-			var local []byte
-			if private {
-				if local, err = ctx.Alloc(4 * bins); err != nil {
-					return err
-				}
-			} else {
-				if local, err = ctx.Shared("hst_hist", 4*bins); err != nil {
-					return err
-				}
-			}
-			buf, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			per := padTo((n+nt-1)/nt, 2)
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			if start > n {
-				start = n
-			}
-			for off := start; off < end; off += 256 {
-				cnt := 256
-				if end-off < cnt {
-					cnt = end - off
-				}
-				if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					bin := int(u32At(buf, i) >> shift)
-					if private {
-						putU32At(local, bin, u32At(local, bin)+1)
-					} else {
-						ctx.Lock()
-						putU32At(local, bin, u32At(local, bin)+1)
-						ctx.Unlock()
-					}
-				}
-				ticks := int64(cnt) * 6
-				if !private {
-					ticks += int64(cnt) * 4 // mutex acquire/release
-				}
-				ctx.Tick(ticks)
-			}
-			ctx.Barrier()
-
-			if private {
-				// Merge private histograms into the shared final one.
-				final, err := ctx.Shared("hst_final", 4*bins)
-				if err != nil {
-					return err
-				}
-				ctx.Lock()
-				for b := 0; b < bins; b++ {
-					putU32At(final, b, u32At(final, b)+u32At(local, b))
-				}
-				ctx.Unlock()
-				ctx.Tick(int64(bins) * 4)
-				ctx.Barrier()
-				local = final
-			}
-			// Tasklet 0 stores the DPU histogram after MRAM-aligned chunks.
-			if ctx.Me() == 0 {
-				for off := 0; off < 4*bins; off += 2048 {
-					cnt := 4*bins - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMWrite(local[off:off+cnt], nBytes+int64(off)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		},
+		Run:       func(ctx *pim.Ctx) error { return runHSTKernel(ctx, bins, private) },
 	}
+}
+
+func runHSTKernel(ctx *pim.Ctx, bins int, private bool) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("hst_n")
+	if err != nil {
+		return err
+	}
+	n := int(n32)
+	nBytes := int64(n) * 4
+	nt := ctx.NumTasklets()
+	shift := uint(hstDepth) - uint(log2(bins))
+
+	var local []byte
+	if private {
+		if local, err = ctx.Alloc(4 * bins); err != nil {
+			return err
+		}
+	} else {
+		if local, err = ctx.Shared("hst_hist", 4*bins); err != nil {
+			return err
+		}
+	}
+	buf, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	per := padTo((n+nt-1)/nt, 2)
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	if start > n {
+		start = n
+	}
+	for off := start; off < end; off += 256 {
+		cnt := 256
+		if end-off < cnt {
+			cnt = end - off
+		}
+		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			bin := int(u32At(buf, i) >> shift)
+			if private {
+				putU32At(local, bin, u32At(local, bin)+1)
+			} else {
+				ctx.Lock()
+				putU32At(local, bin, u32At(local, bin)+1)
+				ctx.Unlock()
+			}
+		}
+		ticks := int64(cnt) * 6
+		if !private {
+			ticks += int64(cnt) * 4 // mutex acquire/release
+		}
+		ctx.Tick(ticks)
+	}
+	ctx.Barrier()
+
+	if private {
+		// Merge private histograms into the shared final one.
+		final, err := ctx.Shared("hst_final", 4*bins)
+		if err != nil {
+			return err
+		}
+		ctx.Lock()
+		for b := 0; b < bins; b++ {
+			putU32At(final, b, u32At(final, b)+u32At(local, b))
+		}
+		ctx.Unlock()
+		ctx.Tick(int64(bins) * 4)
+		ctx.Barrier()
+		local = final
+	}
+	// Tasklet 0 stores the DPU histogram after MRAM-aligned chunks.
+	if ctx.Me() == 0 {
+		for off := 0; off < 4*bins; off += 2048 {
+			cnt := 4*bins - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMWrite(local[off:off+cnt], nBytes+int64(off)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // log2 of a power of two.

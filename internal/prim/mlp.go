@@ -35,91 +35,93 @@ func mlpKernel() *pim.Kernel {
 			{Name: "mlp_xoff", Bytes: 4},
 			{Name: "mlp_yoff", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			rows, err := ctx.HostU32("mlp_rows")
-			if err != nil {
-				return err
-			}
-			cols, err := ctx.HostU32("mlp_cols")
-			if err != nil {
-				return err
-			}
-			woff, err := ctx.HostU32("mlp_woff")
-			if err != nil {
-				return err
-			}
-			xoff, err := ctx.HostU32("mlp_xoff")
-			if err != nil {
-				return err
-			}
-			yoff, err := ctx.HostU32("mlp_yoff")
-			if err != nil {
-				return err
-			}
-			rowBytes := int(cols) * 4
-
-			x, err := ctx.Shared("mlp_x", rowBytes)
-			if err != nil {
-				return err
-			}
-			if ctx.Me() == 0 {
-				for off := 0; off < rowBytes; off += 2048 {
-					cnt := rowBytes - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMRead(int64(xoff)+int64(off), x[off:off+cnt]); err != nil {
-						return err
-					}
-				}
-			}
-			ctx.Barrier()
-
-			// Rows are streamed through a 2 KB WRAM buffer: a full row of a
-			// wide layer would not fit 16 tasklets into the 64 KB bank.
-			rowBuf, err := ctx.Alloc(2048)
-			if err != nil {
-				return err
-			}
-			yBuf, err := ctx.Alloc(8)
-			if err != nil {
-				return err
-			}
-			nt := ctx.NumTasklets()
-			for row := ctx.Me(); row < int(rows); row += nt {
-				base := int64(woff) + int64(row)*int64(rowBytes)
-				var acc int64
-				for off := 0; off < rowBytes; off += 2048 {
-					cnt := rowBytes - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMRead(base+int64(off), rowBuf[:cnt]); err != nil {
-						return err
-					}
-					for c := 0; c < cnt/4; c++ {
-						acc += int64(int32(u32At(rowBuf, c))) * int64(int32(u32At(x, off/4+c)))
-					}
-				}
-				ctx.Tick(int64(cols) * 5)
-				// ReLU then fixed-point renormalization.
-				if acc < 0 {
-					acc = 0
-				}
-				acc >>= mlpShift
-				putU32At(yBuf, 0, uint32(int32(acc)))
-				putU32At(yBuf, 1, 0)
-				if err := ctx.MRAMWrite(yBuf, int64(yoff)+int64(row)*8); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Run: runMLPKernel,
 	}
+}
+
+func runMLPKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	rows, err := ctx.HostU32("mlp_rows")
+	if err != nil {
+		return err
+	}
+	cols, err := ctx.HostU32("mlp_cols")
+	if err != nil {
+		return err
+	}
+	woff, err := ctx.HostU32("mlp_woff")
+	if err != nil {
+		return err
+	}
+	xoff, err := ctx.HostU32("mlp_xoff")
+	if err != nil {
+		return err
+	}
+	yoff, err := ctx.HostU32("mlp_yoff")
+	if err != nil {
+		return err
+	}
+	rowBytes := int(cols) * 4
+
+	x, err := ctx.Shared("mlp_x", rowBytes)
+	if err != nil {
+		return err
+	}
+	if ctx.Me() == 0 {
+		for off := 0; off < rowBytes; off += 2048 {
+			cnt := rowBytes - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMRead(int64(xoff)+int64(off), x[off:off+cnt]); err != nil {
+				return err
+			}
+		}
+	}
+	ctx.Barrier()
+
+	// Rows are streamed through a 2 KB WRAM buffer: a full row of a
+	// wide layer would not fit 16 tasklets into the 64 KB bank.
+	rowBuf, err := ctx.Alloc(2048)
+	if err != nil {
+		return err
+	}
+	yBuf, err := ctx.Alloc(8)
+	if err != nil {
+		return err
+	}
+	nt := ctx.NumTasklets()
+	for row := ctx.Me(); row < int(rows); row += nt {
+		base := int64(woff) + int64(row)*int64(rowBytes)
+		var acc int64
+		for off := 0; off < rowBytes; off += 2048 {
+			cnt := rowBytes - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMRead(base+int64(off), rowBuf[:cnt]); err != nil {
+				return err
+			}
+			for c := 0; c < cnt/4; c++ {
+				acc += int64(int32(u32At(rowBuf, c))) * int64(int32(u32At(x, off/4+c)))
+			}
+		}
+		ctx.Tick(int64(cols) * 5)
+		// ReLU then fixed-point renormalization.
+		if acc < 0 {
+			acc = 0
+		}
+		acc >>= mlpShift
+		putU32At(yBuf, 0, uint32(int32(acc)))
+		putU32At(yBuf, 1, 0)
+		if err := ctx.MRAMWrite(yBuf, int64(yoff)+int64(row)*8); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // mlpReference is the CPU model.

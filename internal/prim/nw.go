@@ -52,101 +52,103 @@ func nwKernel() *pim.Kernel {
 			{Name: "nw_nblocks", Bytes: 4},
 			{Name: "nw_out_off", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			nb32, err := ctx.HostU32("nw_nblocks")
-			if err != nil {
-				return err
-			}
-			outOff32, err := ctx.HostU32("nw_out_off")
-			if err != nil {
-				return err
-			}
-			nBlocks := int(nb32)
-			outOff := int64(outOff32)
-			if nBlocks == 0 {
-				return nil
-			}
-			slot, err := ctx.Alloc(nwInSlotBytes)
-			if err != nil {
-				return err
-			}
-			out, err := ctx.Alloc(nwOutSlot)
-			if err != nil {
-				return err
-			}
-			hPrev, err := ctx.Alloc((nwBlock + 1) * 4)
-			if err != nil {
-				return err
-			}
-			hCur, err := ctx.Alloc((nwBlock + 1) * 4)
-			if err != nil {
-				return err
-			}
-			nt := ctx.NumTasklets()
-			for s := ctx.Me(); s < nBlocks; s += nt {
-				base := int64(s) * nwInSlotBytes
-				for off := 0; off < nwInSlotBytes; off += 2048 {
-					cnt := nwInSlotBytes - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMRead(base+int64(off), slot[off:off+cnt]); err != nil {
-						return err
-					}
-				}
-				seqA := slot[0:nwSeqBytes]
-				seqB := slot[nwSeqBytes : 2*nwSeqBytes]
-				top := slot[2*nwSeqBytes : 2*nwSeqBytes+nwEdgeBytes]
-				left := slot[2*nwSeqBytes+nwEdgeBytes : 2*nwSeqBytes+2*nwEdgeBytes]
-				outB := out[0:nwEdgeBytes]
-				outR := out[nwEdgeBytes : 2*nwEdgeBytes]
-
-				// hPrev = top boundary (corner + row, B+1 values).
-				copy(hPrev[:(nwBlock+1)*4], top[:(nwBlock+1)*4])
-				for r := 0; r < nwBlock; r++ {
-					a := int32(u32At(seqA, r))
-					putU32At(hCur, 0, u32At(left, r+1))
-					for c := 0; c < nwBlock; c++ {
-						b := int32(u32At(seqB, c))
-						sc := int32(nwMismatch)
-						if a == b {
-							sc = nwMatch
-						}
-						best := int32(u32At(hPrev, c)) + sc
-						if v := int32(u32At(hPrev, c+1)) + nwGap; v > best {
-							best = v
-						}
-						if v := int32(u32At(hCur, c)) + nwGap; v > best {
-							best = v
-						}
-						putU32At(hCur, c+1, uint32(best))
-					}
-					ctx.Tick(int64(nwBlock) * 10)
-					putU32At(outR, r+1, u32At(hCur, nwBlock))
-					hPrev, hCur = hCur, hPrev
-				}
-				putU32At(outB, 0, u32At(left, nwBlock))
-				copy(outB[4:(nwBlock+1)*4], hPrev[4:(nwBlock+1)*4])
-				putU32At(outR, 0, u32At(top, nwBlock))
-
-				dst := outOff + int64(s)*nwOutSlot
-				for off := 0; off < nwOutSlot; off += 2048 {
-					cnt := nwOutSlot - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMWrite(out[off:off+cnt], dst+int64(off)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		},
+		Run: runNWKernel,
 	}
+}
+
+func runNWKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	nb32, err := ctx.HostU32("nw_nblocks")
+	if err != nil {
+		return err
+	}
+	outOff32, err := ctx.HostU32("nw_out_off")
+	if err != nil {
+		return err
+	}
+	nBlocks := int(nb32)
+	outOff := int64(outOff32)
+	if nBlocks == 0 {
+		return nil
+	}
+	slot, err := ctx.Alloc(nwInSlotBytes)
+	if err != nil {
+		return err
+	}
+	out, err := ctx.Alloc(nwOutSlot)
+	if err != nil {
+		return err
+	}
+	hPrev, err := ctx.Alloc((nwBlock + 1) * 4)
+	if err != nil {
+		return err
+	}
+	hCur, err := ctx.Alloc((nwBlock + 1) * 4)
+	if err != nil {
+		return err
+	}
+	nt := ctx.NumTasklets()
+	for s := ctx.Me(); s < nBlocks; s += nt {
+		base := int64(s) * nwInSlotBytes
+		for off := 0; off < nwInSlotBytes; off += 2048 {
+			cnt := nwInSlotBytes - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMRead(base+int64(off), slot[off:off+cnt]); err != nil {
+				return err
+			}
+		}
+		seqA := slot[0:nwSeqBytes]
+		seqB := slot[nwSeqBytes : 2*nwSeqBytes]
+		top := slot[2*nwSeqBytes : 2*nwSeqBytes+nwEdgeBytes]
+		left := slot[2*nwSeqBytes+nwEdgeBytes : 2*nwSeqBytes+2*nwEdgeBytes]
+		outB := out[0:nwEdgeBytes]
+		outR := out[nwEdgeBytes : 2*nwEdgeBytes]
+
+		// hPrev = top boundary (corner + row, B+1 values).
+		copy(hPrev[:(nwBlock+1)*4], top[:(nwBlock+1)*4])
+		for r := 0; r < nwBlock; r++ {
+			a := int32(u32At(seqA, r))
+			putU32At(hCur, 0, u32At(left, r+1))
+			for c := 0; c < nwBlock; c++ {
+				b := int32(u32At(seqB, c))
+				sc := int32(nwMismatch)
+				if a == b {
+					sc = nwMatch
+				}
+				best := int32(u32At(hPrev, c)) + sc
+				if v := int32(u32At(hPrev, c+1)) + nwGap; v > best {
+					best = v
+				}
+				if v := int32(u32At(hCur, c)) + nwGap; v > best {
+					best = v
+				}
+				putU32At(hCur, c+1, uint32(best))
+			}
+			ctx.Tick(int64(nwBlock) * 10)
+			putU32At(outR, r+1, u32At(hCur, nwBlock))
+			hPrev, hCur = hCur, hPrev
+		}
+		putU32At(outB, 0, u32At(left, nwBlock))
+		copy(outB[4:(nwBlock+1)*4], hPrev[4:(nwBlock+1)*4])
+		putU32At(outR, 0, u32At(top, nwBlock))
+
+		dst := outOff + int64(s)*nwOutSlot
+		for off := 0; off < nwOutSlot; off += 2048 {
+			cnt := nwOutSlot - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMWrite(out[off:off+cnt], dst+int64(off)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RunNW aligns two random sequences block-diagonally and checks the final

@@ -32,49 +32,51 @@ func redKernel() *pim.Kernel {
 			{Name: "red_n", Bytes: 4},
 			{Name: "red_result_off", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("red_n")
-			if err != nil {
-				return err
-			}
-			resOff, err := ctx.HostU32("red_result_off")
-			if err != nil {
-				return err
-			}
-			n := int(n32)
-			per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
-			buf, err := ctx.Alloc(2048)
-			if err != nil {
-				return err
-			}
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			var sum uint64
-			for off := start; off < end; off += 512 {
-				cnt := 512
-				if end-off < cnt {
-					cnt = end - off
-				}
-				if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					sum += uint64(u32At(buf, i))
-				}
-				ctx.Tick(int64(cnt) * 4)
-			}
-			var out [8]byte
-			putU64At(out[:], 0, sum)
-			return ctx.MRAMWrite(out[:], int64(resOff)+int64(ctx.Me())*8)
-		},
+		Run: runREDKernel,
 	}
+}
+
+func runREDKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("red_n")
+	if err != nil {
+		return err
+	}
+	resOff, err := ctx.HostU32("red_result_off")
+	if err != nil {
+		return err
+	}
+	n := int(n32)
+	per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
+	buf, err := ctx.Alloc(2048)
+	if err != nil {
+		return err
+	}
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	var sum uint64
+	for off := start; off < end; off += 512 {
+		cnt := 512
+		if end-off < cnt {
+			cnt = end - off
+		}
+		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			sum += uint64(u32At(buf, i))
+		}
+		ctx.Tick(int64(cnt) * 4)
+	}
+	var out [8]byte
+	putU64At(out[:], 0, sum)
+	return ctx.MRAMWrite(out[:], int64(resOff)+int64(ctx.Me())*8)
 }
 
 // RunRED executes the reduction and checks the global sum.

@@ -139,53 +139,55 @@ func scanAddKernel() *pim.Kernel {
 			{Name: "scan_n", Bytes: 4},
 			{Name: "scan_base", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("scan_n")
-			if err != nil {
-				return err
-			}
-			base, err := ctx.HostU32("scan_base")
-			if err != nil {
-				return err
-			}
-			if base == 0 {
-				return nil
-			}
-			n := int(n32)
-			nBytes := int64(n) * 4
-			per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
-			buf, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			for off := start; off < end; off += 256 {
-				cnt := 256
-				if end-off < cnt {
-					cnt = end - off
-				}
-				if err := ctx.MRAMRead(nBytes+int64(off)*4, buf[:cnt*4]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					putU32At(buf, i, u32At(buf, i)+base)
-				}
-				ctx.Tick(int64(cnt) * 5)
-				if err := ctx.MRAMWrite(buf[:cnt*4], nBytes+int64(off)*4); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Run: runScanAddKernel,
 	}
+}
+
+func runScanAddKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("scan_n")
+	if err != nil {
+		return err
+	}
+	base, err := ctx.HostU32("scan_base")
+	if err != nil {
+		return err
+	}
+	if base == 0 {
+		return nil
+	}
+	n := int(n32)
+	nBytes := int64(n) * 4
+	per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
+	buf, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	for off := start; off < end; off += 256 {
+		cnt := 256
+		if end-off < cnt {
+			cnt = end - off
+		}
+		if err := ctx.MRAMRead(nBytes+int64(off)*4, buf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			putU32At(buf, i, u32At(buf, i)+base)
+		}
+		ctx.Tick(int64(cnt) * 5)
+		if err := ctx.MRAMWrite(buf[:cnt*4], nBytes+int64(off)*4); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // scanReduceKernel is SCAN-RSS's first pass: chunk total only.
@@ -195,62 +197,64 @@ func scanReduceKernel() *pim.Kernel {
 		Tasklets:  DefaultTasklets,
 		CodeBytes: 4 << 10,
 		Symbols:   []pim.Symbol{{Name: "scan_n", Bytes: 4}},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("scan_n")
-			if err != nil {
-				return err
-			}
-			n := int(n32)
-			nt := ctx.NumTasklets()
-			per := padTo((n+nt-1)/nt, 2)
-			table, err := ctx.Shared("scan_partials", 8*nt)
-			if err != nil {
-				return err
-			}
-			buf, err := ctx.Alloc(2048)
-			if err != nil {
-				return err
-			}
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			if start > n {
-				start = n
-			}
-			var sum uint64
-			for off := start; off < end; off += 512 {
-				cnt := 512
-				if end-off < cnt {
-					cnt = end - off
-				}
-				if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					sum += uint64(u32At(buf, i))
-				}
-				ctx.Tick(int64(cnt) * 4)
-			}
-			putU64At(table, ctx.Me(), sum)
-			ctx.Barrier()
-			if ctx.Me() == nt-1 {
-				var total uint64
-				for t := 0; t < nt; t++ {
-					total += u64At(table, t)
-				}
-				var out [8]byte
-				putU64At(out[:], 0, total)
-				return ctx.MRAMWrite(out[:], 2*int64(n)*4)
-			}
-			return nil
-		},
+		Run:       runScanReduceKernel,
 	}
+}
+
+func runScanReduceKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("scan_n")
+	if err != nil {
+		return err
+	}
+	n := int(n32)
+	nt := ctx.NumTasklets()
+	per := padTo((n+nt-1)/nt, 2)
+	table, err := ctx.Shared("scan_partials", 8*nt)
+	if err != nil {
+		return err
+	}
+	buf, err := ctx.Alloc(2048)
+	if err != nil {
+		return err
+	}
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	if start > n {
+		start = n
+	}
+	var sum uint64
+	for off := start; off < end; off += 512 {
+		cnt := 512
+		if end-off < cnt {
+			cnt = end - off
+		}
+		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			sum += uint64(u32At(buf, i))
+		}
+		ctx.Tick(int64(cnt) * 4)
+	}
+	putU64At(table, ctx.Me(), sum)
+	ctx.Barrier()
+	if ctx.Me() == nt-1 {
+		var total uint64
+		for t := 0; t < nt; t++ {
+			total += u64At(table, t)
+		}
+		var out [8]byte
+		putU64At(out[:], 0, total)
+		return ctx.MRAMWrite(out[:], 2*int64(n)*4)
+	}
+	return nil
 }
 
 // scanRSSScanKernel is SCAN-RSS's second pass: local scan with the host-
@@ -264,54 +268,56 @@ func scanRSSScanKernel() *pim.Kernel {
 			{Name: "scan_n", Bytes: 4},
 			{Name: "scan_base", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if err := runLocalScan(ctx); err != nil {
-				return err
-			}
-			base, err := ctx.HostU32("scan_base")
-			if err != nil {
-				return err
-			}
-			if base == 0 {
-				return nil
-			}
-			// Fold the base in during a final add sweep over this
-			// tasklet's region.
-			n32, err := ctx.HostU32("scan_n")
-			if err != nil {
-				return err
-			}
-			n := int(n32)
-			nBytes := int64(n) * 4
-			per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
-			buf, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			for off := start; off < end; off += 256 {
-				cnt := 256
-				if end-off < cnt {
-					cnt = end - off
-				}
-				if err := ctx.MRAMRead(nBytes+int64(off)*4, buf[:cnt*4]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					putU32At(buf, i, u32At(buf, i)+base)
-				}
-				ctx.Tick(int64(cnt) * 5)
-				if err := ctx.MRAMWrite(buf[:cnt*4], nBytes+int64(off)*4); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Run: runScanRSSScanKernel,
 	}
+}
+
+func runScanRSSScanKernel(ctx *pim.Ctx) error {
+	if err := runLocalScan(ctx); err != nil {
+		return err
+	}
+	base, err := ctx.HostU32("scan_base")
+	if err != nil {
+		return err
+	}
+	if base == 0 {
+		return nil
+	}
+	// Fold the base in during a final add sweep over this
+	// tasklet's region.
+	n32, err := ctx.HostU32("scan_n")
+	if err != nil {
+		return err
+	}
+	n := int(n32)
+	nBytes := int64(n) * 4
+	per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
+	buf, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	for off := start; off < end; off += 256 {
+		cnt := 256
+		if end-off < cnt {
+			cnt = end - off
+		}
+		if err := ctx.MRAMRead(nBytes+int64(off)*4, buf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			putU32At(buf, i, u32At(buf, i)+base)
+		}
+		ctx.Tick(int64(cnt) * 5)
+		if err := ctx.MRAMWrite(buf[:cnt*4], nBytes+int64(off)*4); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunSCANSSA executes the scan-scan-add prefix sum.

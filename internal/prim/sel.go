@@ -28,184 +28,186 @@ func compactKernel(name string, unique bool) *pim.Kernel {
 			{Name: "sel_n", Bytes: 4},
 			{Name: "sel_count", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("sel_n")
-			if err != nil {
-				return err
-			}
-			n := int(n32)
-			nBytes := int64(n) * 4
-			nt := ctx.NumTasklets()
-			per := padTo((n+nt-1)/nt, 2)
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			if start > n {
-				start = n
-			}
-
-			table, err := ctx.Shared("sel_counts", 4*nt)
-			if err != nil {
-				return err
-			}
-			buf, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			prev, err := ctx.Alloc(8)
-			if err != nil {
-				return err
-			}
-
-			keep := func(v uint32, prevV uint32, first bool) bool {
-				if unique {
-					return first || v != prevV
-				}
-				return v%2 == 0
-			}
-
-			// Pass 1: count kept elements.
-			var count uint32
-			var prevV uint32
-			first := true
-			if unique && start > 0 && start < n {
-				// Peek at the predecessor for the boundary comparison.
-				if err := ctx.MRAMRead(int64(start-2)*4, prev); err != nil {
-					return err
-				}
-				prevV = u32At(prev, 1)
-				first = false
-			}
-			bPrevV, bFirst := prevV, first
-			for off := start; off < end; off += 256 {
-				cnt := 256
-				if end-off < cnt {
-					cnt = end - off
-				}
-				if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					v := u32At(buf, i)
-					if keep(v, prevV, first) {
-						count++
-					}
-					prevV = v
-					first = false
-				}
-				ctx.Tick(int64(cnt) * 5)
-			}
-			putU32At(table, ctx.Me(), count)
-			ctx.Barrier()
-
-			// Pass 2: compact at the exclusive prefix offset. Output
-			// positions are written one by one through an aligned 8-byte
-			// staging slot, the same grain a real DPU uses.
-			var base uint32
-			for t := 0; t < ctx.Me(); t++ {
-				base += u32At(table, t)
-			}
-			ctx.Tick(int64(ctx.Me()) * 3)
-
-			out, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			outPos := int(base)
-			outFill := 0
-			span, err := ctx.Alloc(1024 + 8)
-			if err != nil {
-				return err
-			}
-			flush := func() error {
-				if outFill == 0 {
-					return nil
-				}
-				// The compacted region starts at a 4-byte position, so the
-				// write is a read-modify-write over the covering aligned
-				// 8-byte grains; the DPU mutex protects the boundary words
-				// two tasklets may share.
-				ctx.Lock()
-				defer ctx.Unlock()
-				writeStart := int64(outPos-outFill) * 4
-				writeEnd := int64(outPos) * 4
-				alignedStart := writeStart &^ 7
-				alignedEnd := (writeEnd + 7) &^ 7
-				consumed := 0
-				for pos := alignedStart; pos < alignedEnd; pos += 1024 {
-					cnt := alignedEnd - pos
-					if cnt > 1024 {
-						cnt = 1024
-					}
-					if err := ctx.MRAMRead(nBytes+pos, span[:cnt]); err != nil {
-						return err
-					}
-					lo := writeStart - pos
-					if lo < 0 {
-						lo = 0
-					}
-					hi := cnt
-					if writeEnd-pos < hi {
-						hi = writeEnd - pos
-					}
-					for b := lo; b < hi; b += 4 {
-						putU32At(span, int(b)/4, u32At(out, consumed))
-						consumed++
-					}
-					if err := ctx.MRAMWrite(span[:cnt], nBytes+pos); err != nil {
-						return err
-					}
-				}
-				outFill = 0
-				return nil
-			}
-			prevV, first = bPrevV, bFirst
-			for off := start; off < end; off += 256 {
-				cnt := 256
-				if end-off < cnt {
-					cnt = end - off
-				}
-				if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					v := u32At(buf, i)
-					if keep(v, prevV, first) {
-						putU32At(out, outFill, v)
-						outFill++
-						outPos++
-						if outFill == 256 {
-							if err := flush(); err != nil {
-								return err
-							}
-						}
-					}
-					prevV = v
-					first = false
-				}
-				ctx.Tick(int64(cnt) * 7)
-			}
-			if err := flush(); err != nil {
-				return err
-			}
-			ctx.Barrier()
-
-			if ctx.Me() == nt-1 {
-				var total uint32
-				for t := 0; t < nt; t++ {
-					total += u32At(table, t)
-				}
-				return ctx.SetHostU32("sel_count", total)
-			}
-			return nil
-		},
+		Run: func(ctx *pim.Ctx) error { return runCompactKernel(ctx, unique) },
 	}
+}
+
+func runCompactKernel(ctx *pim.Ctx, unique bool) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("sel_n")
+	if err != nil {
+		return err
+	}
+	n := int(n32)
+	nBytes := int64(n) * 4
+	nt := ctx.NumTasklets()
+	per := padTo((n+nt-1)/nt, 2)
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	if start > n {
+		start = n
+	}
+
+	table, err := ctx.Shared("sel_counts", 4*nt)
+	if err != nil {
+		return err
+	}
+	buf, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	prev, err := ctx.Alloc(8)
+	if err != nil {
+		return err
+	}
+
+	keep := func(v uint32, prevV uint32, first bool) bool {
+		if unique {
+			return first || v != prevV
+		}
+		return v%2 == 0
+	}
+
+	// Pass 1: count kept elements.
+	var count uint32
+	var prevV uint32
+	first := true
+	if unique && start > 0 && start < n {
+		// Peek at the predecessor for the boundary comparison.
+		if err := ctx.MRAMRead(int64(start-2)*4, prev); err != nil {
+			return err
+		}
+		prevV = u32At(prev, 1)
+		first = false
+	}
+	bPrevV, bFirst := prevV, first
+	for off := start; off < end; off += 256 {
+		cnt := 256
+		if end-off < cnt {
+			cnt = end - off
+		}
+		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			v := u32At(buf, i)
+			if keep(v, prevV, first) {
+				count++
+			}
+			prevV = v
+			first = false
+		}
+		ctx.Tick(int64(cnt) * 5)
+	}
+	putU32At(table, ctx.Me(), count)
+	ctx.Barrier()
+
+	// Pass 2: compact at the exclusive prefix offset. Output
+	// positions are written one by one through an aligned 8-byte
+	// staging slot, the same grain a real DPU uses.
+	var base uint32
+	for t := 0; t < ctx.Me(); t++ {
+		base += u32At(table, t)
+	}
+	ctx.Tick(int64(ctx.Me()) * 3)
+
+	out, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	outPos := int(base)
+	outFill := 0
+	span, err := ctx.Alloc(1024 + 8)
+	if err != nil {
+		return err
+	}
+	flush := func() error {
+		if outFill == 0 {
+			return nil
+		}
+		// The compacted region starts at a 4-byte position, so the
+		// write is a read-modify-write over the covering aligned
+		// 8-byte grains; the DPU mutex protects the boundary words
+		// two tasklets may share.
+		ctx.Lock()
+		defer ctx.Unlock()
+		writeStart := int64(outPos-outFill) * 4
+		writeEnd := int64(outPos) * 4
+		alignedStart := writeStart &^ 7
+		alignedEnd := (writeEnd + 7) &^ 7
+		consumed := 0
+		for pos := alignedStart; pos < alignedEnd; pos += 1024 {
+			cnt := alignedEnd - pos
+			if cnt > 1024 {
+				cnt = 1024
+			}
+			if err := ctx.MRAMRead(nBytes+pos, span[:cnt]); err != nil {
+				return err
+			}
+			lo := writeStart - pos
+			if lo < 0 {
+				lo = 0
+			}
+			hi := cnt
+			if writeEnd-pos < hi {
+				hi = writeEnd - pos
+			}
+			for b := lo; b < hi; b += 4 {
+				putU32At(span, int(b)/4, u32At(out, consumed))
+				consumed++
+			}
+			if err := ctx.MRAMWrite(span[:cnt], nBytes+pos); err != nil {
+				return err
+			}
+		}
+		outFill = 0
+		return nil
+	}
+	prevV, first = bPrevV, bFirst
+	for off := start; off < end; off += 256 {
+		cnt := 256
+		if end-off < cnt {
+			cnt = end - off
+		}
+		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			v := u32At(buf, i)
+			if keep(v, prevV, first) {
+				putU32At(out, outFill, v)
+				outFill++
+				outPos++
+				if outFill == 256 {
+					if err := flush(); err != nil {
+						return err
+					}
+				}
+			}
+			prevV = v
+			first = false
+		}
+		ctx.Tick(int64(cnt) * 7)
+	}
+	if err := flush(); err != nil {
+		return err
+	}
+	ctx.Barrier()
+
+	if ctx.Me() == nt-1 {
+		var total uint32
+		for t := 0; t < nt; t++ {
+			total += u32At(table, t)
+		}
+		return ctx.SetHostU32("sel_count", total)
+	}
+	return nil
 }
 
 // RunSEL executes Select (keep even values) with serial retrieval.

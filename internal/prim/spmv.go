@@ -36,106 +36,108 @@ func spmvKernel() *pim.Kernel {
 			{Name: "spmv_x_off", Bytes: 4},
 			{Name: "spmv_y_off", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			syms := make(map[string]uint32, 6)
-			for _, s := range []string{"spmv_rows", "spmv_cols", "spmv_col_off", "spmv_val_off", "spmv_x_off", "spmv_y_off"} {
-				v, err := ctx.HostU32(s)
-				if err != nil {
-					return err
-				}
-				syms[s] = v
-			}
-			rows := int(syms["spmv_rows"])
-			cols := int(syms["spmv_cols"])
-			colOff := int64(syms["spmv_col_off"])
-			valOff := int64(syms["spmv_val_off"])
-			xOff := int64(syms["spmv_x_off"])
-			yOff := int64(syms["spmv_y_off"])
-
-			// The dense vector x lives in shared WRAM (PrIM keeps it
-			// resident; 16 KB at 4096 columns).
-			x, err := ctx.Shared("spmv_x", cols*4)
-			if err != nil {
-				return err
-			}
-			if ctx.Me() == 0 {
-				for off := 0; off < cols*4; off += 2048 {
-					cnt := cols*4 - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMRead(xOff+int64(off), x[off:off+cnt]); err != nil {
-						return err
-					}
-				}
-			}
-			ctx.Barrier()
-
-			rp, err := ctx.Alloc(16)
-			if err != nil {
-				return err
-			}
-			nz, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			vals, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			yBuf, err := ctx.Alloc(8)
-			if err != nil {
-				return err
-			}
-			nt := ctx.NumTasklets()
-			for row := ctx.Me(); row < rows; row += nt {
-				// rowptr[row], rowptr[row+1]: one aligned 16-byte read
-				// covers both (slots are 4 bytes; read the aligned pair).
-				base := int64(row&^1) * 4
-				if err := ctx.MRAMRead(base, rp[:16]); err != nil {
-					return err
-				}
-				idx := row & 1
-				lo := u32At(rp, idx)
-				hi := u32At(rp, idx+1)
-				var acc uint32
-				for pos := int(lo); pos < int(hi); {
-					cnt := int(hi) - pos
-					if cnt > 254 {
-						cnt = 254
-					}
-					// colidx/value reads start 4-byte aligned at worst;
-					// align down to the 8-byte grain.
-					cOff := colOff + int64(pos&^1)*4
-					vOff := valOff + int64(pos&^1)*4
-					shift := pos & 1
-					n := (cnt + shift + 1) &^ 1
-					if err := ctx.MRAMRead(cOff, nz[:n*4]); err != nil {
-						return err
-					}
-					if err := ctx.MRAMRead(vOff, vals[:n*4]); err != nil {
-						return err
-					}
-					for i := 0; i < cnt; i++ {
-						c := u32At(nz, i+shift)
-						acc += u32At(vals, i+shift) * u32At(x, int(c))
-					}
-					ctx.Tick(int64(cnt) * 6)
-					pos += cnt
-				}
-				putU32At(yBuf, 0, acc)
-				putU32At(yBuf, 1, 0)
-				if err := ctx.MRAMWrite(yBuf, yOff+int64(row)*8); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Run: runSpMVKernel,
 	}
+}
+
+func runSpMVKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	syms := make(map[string]uint32, 6)
+	for _, s := range []string{"spmv_rows", "spmv_cols", "spmv_col_off", "spmv_val_off", "spmv_x_off", "spmv_y_off"} {
+		v, err := ctx.HostU32(s)
+		if err != nil {
+			return err
+		}
+		syms[s] = v
+	}
+	rows := int(syms["spmv_rows"])
+	cols := int(syms["spmv_cols"])
+	colOff := int64(syms["spmv_col_off"])
+	valOff := int64(syms["spmv_val_off"])
+	xOff := int64(syms["spmv_x_off"])
+	yOff := int64(syms["spmv_y_off"])
+
+	// The dense vector x lives in shared WRAM (PrIM keeps it
+	// resident; 16 KB at 4096 columns).
+	x, err := ctx.Shared("spmv_x", cols*4)
+	if err != nil {
+		return err
+	}
+	if ctx.Me() == 0 {
+		for off := 0; off < cols*4; off += 2048 {
+			cnt := cols*4 - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMRead(xOff+int64(off), x[off:off+cnt]); err != nil {
+				return err
+			}
+		}
+	}
+	ctx.Barrier()
+
+	rp, err := ctx.Alloc(16)
+	if err != nil {
+		return err
+	}
+	nz, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	vals, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	yBuf, err := ctx.Alloc(8)
+	if err != nil {
+		return err
+	}
+	nt := ctx.NumTasklets()
+	for row := ctx.Me(); row < rows; row += nt {
+		// rowptr[row], rowptr[row+1]: one aligned 16-byte read
+		// covers both (slots are 4 bytes; read the aligned pair).
+		base := int64(row&^1) * 4
+		if err := ctx.MRAMRead(base, rp[:16]); err != nil {
+			return err
+		}
+		idx := row & 1
+		lo := u32At(rp, idx)
+		hi := u32At(rp, idx+1)
+		var acc uint32
+		for pos := int(lo); pos < int(hi); {
+			cnt := int(hi) - pos
+			if cnt > 254 {
+				cnt = 254
+			}
+			// colidx/value reads start 4-byte aligned at worst;
+			// align down to the 8-byte grain.
+			cOff := colOff + int64(pos&^1)*4
+			vOff := valOff + int64(pos&^1)*4
+			shift := pos & 1
+			n := (cnt + shift + 1) &^ 1
+			if err := ctx.MRAMRead(cOff, nz[:n*4]); err != nil {
+				return err
+			}
+			if err := ctx.MRAMRead(vOff, vals[:n*4]); err != nil {
+				return err
+			}
+			for i := 0; i < cnt; i++ {
+				c := u32At(nz, i+shift)
+				acc += u32At(vals, i+shift) * u32At(x, int(c))
+			}
+			ctx.Tick(int64(cnt) * 6)
+			pos += cnt
+		}
+		putU32At(yBuf, 0, acc)
+		putU32At(yBuf, 1, 0)
+		if err := ctx.MRAMWrite(yBuf, yOff+int64(row)*8); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunSpMV executes y = A*x on a random CSR matrix and checks against CPU.

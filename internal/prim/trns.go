@@ -41,63 +41,65 @@ func trnsKernel() *pim.Kernel {
 			{Name: "trns_ntiles", Bytes: 4},
 			{Name: "trns_out_off", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			nt32, err := ctx.HostU32("trns_ntiles")
-			if err != nil {
-				return err
-			}
-			outOff32, err := ctx.HostU32("trns_out_off")
-			if err != nil {
-				return err
-			}
-			nTiles := int(nt32)
-			outOff := int64(outOff32)
-			if nTiles == 0 {
-				return nil
-			}
-			in, err := ctx.Alloc(trnsTileBytes)
-			if err != nil {
-				return err
-			}
-			out, err := ctx.Alloc(trnsTileBytes)
-			if err != nil {
-				return err
-			}
-			nt := ctx.NumTasklets()
-			for s := ctx.Me(); s < nTiles; s += nt {
-				base := int64(s) * trnsTileBytes
-				for off := 0; off < trnsTileBytes; off += 2048 {
-					cnt := trnsTileBytes - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMRead(base+int64(off), in[off:off+cnt]); err != nil {
-						return err
-					}
-				}
-				for rIdx := 0; rIdx < trnsTile; rIdx++ {
-					for c := 0; c < trnsTile; c++ {
-						putU32At(out, c*trnsTile+rIdx, u32At(in, rIdx*trnsTile+c))
-					}
-				}
-				ctx.Tick(int64(trnsTileWords) * 4)
-				for off := 0; off < trnsTileBytes; off += 2048 {
-					cnt := trnsTileBytes - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMWrite(out[off:off+cnt], outOff+base+int64(off)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		},
+		Run: runTRNSKernel,
 	}
+}
+
+func runTRNSKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	nt32, err := ctx.HostU32("trns_ntiles")
+	if err != nil {
+		return err
+	}
+	outOff32, err := ctx.HostU32("trns_out_off")
+	if err != nil {
+		return err
+	}
+	nTiles := int(nt32)
+	outOff := int64(outOff32)
+	if nTiles == 0 {
+		return nil
+	}
+	in, err := ctx.Alloc(trnsTileBytes)
+	if err != nil {
+		return err
+	}
+	out, err := ctx.Alloc(trnsTileBytes)
+	if err != nil {
+		return err
+	}
+	nt := ctx.NumTasklets()
+	for s := ctx.Me(); s < nTiles; s += nt {
+		base := int64(s) * trnsTileBytes
+		for off := 0; off < trnsTileBytes; off += 2048 {
+			cnt := trnsTileBytes - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMRead(base+int64(off), in[off:off+cnt]); err != nil {
+				return err
+			}
+		}
+		for rIdx := 0; rIdx < trnsTile; rIdx++ {
+			for c := 0; c < trnsTile; c++ {
+				putU32At(out, c*trnsTile+rIdx, u32At(in, rIdx*trnsTile+c))
+			}
+		}
+		ctx.Tick(int64(trnsTileWords) * 4)
+		for off := 0; off < trnsTileBytes; off += 2048 {
+			cnt := trnsTileBytes - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMWrite(out[off:off+cnt], outOff+base+int64(off)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RunTRNS transposes a random matrix and checks every element.

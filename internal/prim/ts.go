@@ -32,108 +32,110 @@ func tsKernel() *pim.Kernel {
 			{Name: "ts_min", Bytes: 8},
 			{Name: "ts_idx", Bytes: 8},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-				if err := ctx.SetHostU64("ts_min", ^uint64(0)); err != nil {
-					return err
-				}
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("ts_n")
-			if err != nil {
-				return err
-			}
-			m32, err := ctx.HostU32("ts_m")
-			if err != nil {
-				return err
-			}
-			n, m := int(n32), int(m32)
-			qOff := (int64(n+m-1)*4 + 7) &^ 7
-
-			query, err := ctx.Shared("ts_query", m*4)
-			if err != nil {
-				return err
-			}
-			if ctx.Me() == 0 {
-				if err := ctx.MRAMRead(qOff, query); err != nil {
-					return err
-				}
-			}
-			ctx.Barrier()
-
-			// Sliding window over this tasklet's range; the buffer holds
-			// the window plus lookahead, reloaded per block.
-			nt := ctx.NumTasklets()
-			per := padTo((n+nt-1)/nt, 2)
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			if start > n {
-				start = n
-			}
-			const block = 128
-			buf, err := ctx.Alloc((block + tsQueryLen) * 4)
-			if err != nil {
-				return err
-			}
-			best := ^uint64(0)
-			bestIdx := uint64(0)
-			for off := start; off < end; off += block {
-				cnt := block
-				if end-off < cnt {
-					cnt = end - off
-				}
-				span := (cnt + m - 1) * 4
-				for boff := 0; boff < span; boff += 2048 {
-					c := span - boff
-					if c > 2048 {
-						c = 2048
-					}
-					if err := ctx.MRAMRead(int64(off)*4+int64(boff), buf[boff:boff+c]); err != nil {
-						return err
-					}
-				}
-				for w := 0; w < cnt; w++ {
-					var sad uint64
-					for j := 0; j < m; j++ {
-						a := int64(u32At(buf, w+j))
-						b := int64(u32At(query, j))
-						d := a - b
-						if d < 0 {
-							d = -d
-						}
-						sad += uint64(d)
-					}
-					ctx.Tick(int64(m) * 5)
-					if sad < best {
-						best = sad
-						bestIdx = uint64(off + w)
-					}
-				}
-			}
-			// Reduce across tasklets under the DPU mutex.
-			ctx.Lock()
-			defer ctx.Unlock()
-			cur, err := ctx.HostU64("ts_min")
-			if err != nil {
-				return err
-			}
-			curIdx, err := ctx.HostU64("ts_idx")
-			if err != nil {
-				return err
-			}
-			if best < cur || (best == cur && bestIdx < curIdx) {
-				if err := ctx.SetHostU64("ts_min", best); err != nil {
-					return err
-				}
-				return ctx.SetHostU64("ts_idx", bestIdx)
-			}
-			return nil
-		},
+		Run: runTSKernel,
 	}
+}
+
+func runTSKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+		if err := ctx.SetHostU64("ts_min", ^uint64(0)); err != nil {
+			return err
+		}
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("ts_n")
+	if err != nil {
+		return err
+	}
+	m32, err := ctx.HostU32("ts_m")
+	if err != nil {
+		return err
+	}
+	n, m := int(n32), int(m32)
+	qOff := (int64(n+m-1)*4 + 7) &^ 7
+
+	query, err := ctx.Shared("ts_query", m*4)
+	if err != nil {
+		return err
+	}
+	if ctx.Me() == 0 {
+		if err := ctx.MRAMRead(qOff, query); err != nil {
+			return err
+		}
+	}
+	ctx.Barrier()
+
+	// Sliding window over this tasklet's range; the buffer holds
+	// the window plus lookahead, reloaded per block.
+	nt := ctx.NumTasklets()
+	per := padTo((n+nt-1)/nt, 2)
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	if start > n {
+		start = n
+	}
+	const block = 128
+	buf, err := ctx.Alloc((block + tsQueryLen) * 4)
+	if err != nil {
+		return err
+	}
+	best := ^uint64(0)
+	bestIdx := uint64(0)
+	for off := start; off < end; off += block {
+		cnt := block
+		if end-off < cnt {
+			cnt = end - off
+		}
+		span := (cnt + m - 1) * 4
+		for boff := 0; boff < span; boff += 2048 {
+			c := span - boff
+			if c > 2048 {
+				c = 2048
+			}
+			if err := ctx.MRAMRead(int64(off)*4+int64(boff), buf[boff:boff+c]); err != nil {
+				return err
+			}
+		}
+		for w := 0; w < cnt; w++ {
+			var sad uint64
+			for j := 0; j < m; j++ {
+				a := int64(u32At(buf, w+j))
+				b := int64(u32At(query, j))
+				d := a - b
+				if d < 0 {
+					d = -d
+				}
+				sad += uint64(d)
+			}
+			ctx.Tick(int64(m) * 5)
+			if sad < best {
+				best = sad
+				bestIdx = uint64(off + w)
+			}
+		}
+	}
+	// Reduce across tasklets under the DPU mutex.
+	ctx.Lock()
+	defer ctx.Unlock()
+	cur, err := ctx.HostU64("ts_min")
+	if err != nil {
+		return err
+	}
+	curIdx, err := ctx.HostU64("ts_idx")
+	if err != nil {
+		return err
+	}
+	if best < cur || (best == cur && bestIdx < curIdx) {
+		if err := ctx.SetHostU64("ts_min", best); err != nil {
+			return err
+		}
+		return ctx.SetHostU64("ts_idx", bestIdx)
+	}
+	return nil
 }
 
 // RunTS executes the subsequence search and checks the global minimum.

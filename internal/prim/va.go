@@ -25,54 +25,56 @@ func vaKernel() *pim.Kernel {
 		Tasklets:  DefaultTasklets,
 		CodeBytes: 6 << 10,
 		Symbols:   []pim.Symbol{{Name: "va_n", Bytes: 4}},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("va_n")
-			if err != nil {
-				return err
-			}
-			n := int(n32)
-			nBytes := int64(n) * 4
-			per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
-			bufA, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			bufB, err := ctx.Alloc(1024)
-			if err != nil {
-				return err
-			}
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			for off := start; off < end; off += 256 {
-				cnt := 256
-				if end-off < cnt {
-					cnt = end - off
-				}
-				b := cnt * 4
-				if err := ctx.MRAMRead(int64(off)*4, bufA[:b]); err != nil {
-					return err
-				}
-				if err := ctx.MRAMRead(nBytes+int64(off)*4, bufB[:b]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					putU32At(bufA, i, u32At(bufA, i)+u32At(bufB, i))
-				}
-				ctx.Tick(int64(cnt) * 6)
-				if err := ctx.MRAMWrite(bufA[:b], 2*nBytes+int64(off)*4); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Run:       runVAKernel,
 	}
+}
+
+func runVAKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("va_n")
+	if err != nil {
+		return err
+	}
+	n := int(n32)
+	nBytes := int64(n) * 4
+	per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
+	bufA, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	bufB, err := ctx.Alloc(1024)
+	if err != nil {
+		return err
+	}
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	for off := start; off < end; off += 256 {
+		cnt := 256
+		if end-off < cnt {
+			cnt = end - off
+		}
+		b := cnt * 4
+		if err := ctx.MRAMRead(int64(off)*4, bufA[:b]); err != nil {
+			return err
+		}
+		if err := ctx.MRAMRead(nBytes+int64(off)*4, bufB[:b]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			putU32At(bufA, i, u32At(bufA, i)+u32At(bufB, i))
+		}
+		ctx.Tick(int64(cnt) * 6)
+		if err := ctx.MRAMWrite(bufA[:b], 2*nBytes+int64(off)*4); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunVA executes vector addition and checks C = A + B.

@@ -35,62 +35,64 @@ func checksumKernel() *pim.Kernel {
 		Tasklets:  16,
 		CodeBytes: 4 << 10,
 		Symbols:   []pim.Symbol{{Name: "ck_n", Bytes: 4}},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			n32, err := ctx.HostU32("ck_n")
-			if err != nil {
-				return err
-			}
-			n := int(n32) // words
-			nt := ctx.NumTasklets()
-			table, err := ctx.Shared("ck_partials", 8*nt)
-			if err != nil {
-				return err
-			}
-			buf, err := ctx.Alloc(2048)
-			if err != nil {
-				return err
-			}
-			per := ((n+nt-1)/nt + 1) &^ 1
-			start := ctx.Me() * per
-			end := start + per
-			if end > n {
-				end = n
-			}
-			if start > n {
-				start = n
-			}
-			var sum uint64
-			for off := start; off < end; off += 512 {
-				cnt := 512
-				if end-off < cnt {
-					cnt = end - off
-				}
-				if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-					return err
-				}
-				for i := 0; i < cnt; i++ {
-					sum += uint64(binary.LittleEndian.Uint32(buf[4*i:]))
-				}
-				ctx.Tick(int64(cnt) * 4)
-			}
-			binary.LittleEndian.PutUint64(table[8*ctx.Me():], sum)
-			ctx.Barrier()
-			if ctx.Me() == 0 {
-				var total uint64
-				for t := 0; t < nt; t++ {
-					total += binary.LittleEndian.Uint64(table[8*t:])
-				}
-				var out [8]byte
-				binary.LittleEndian.PutUint64(out[:], total)
-				return ctx.MRAMWrite(out[:], int64(n)*4)
-			}
-			return nil
-		},
+		Run:       runChecksumKernel,
 	}
+}
+
+func runChecksumKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	n32, err := ctx.HostU32("ck_n")
+	if err != nil {
+		return err
+	}
+	n := int(n32) // words
+	nt := ctx.NumTasklets()
+	table, err := ctx.Shared("ck_partials", 8*nt)
+	if err != nil {
+		return err
+	}
+	buf, err := ctx.Alloc(2048)
+	if err != nil {
+		return err
+	}
+	per := ((n+nt-1)/nt + 1) &^ 1
+	start := ctx.Me() * per
+	end := start + per
+	if end > n {
+		end = n
+	}
+	if start > n {
+		start = n
+	}
+	var sum uint64
+	for off := start; off < end; off += 512 {
+		cnt := 512
+		if end-off < cnt {
+			cnt = end - off
+		}
+		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+			return err
+		}
+		for i := 0; i < cnt; i++ {
+			sum += uint64(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		ctx.Tick(int64(cnt) * 4)
+	}
+	binary.LittleEndian.PutUint64(table[8*ctx.Me():], sum)
+	ctx.Barrier()
+	if ctx.Me() == 0 {
+		var total uint64
+		for t := 0; t < nt; t++ {
+			total += binary.LittleEndian.Uint64(table[8*t:])
+		}
+		var out [8]byte
+		binary.LittleEndian.PutUint64(out[:], total)
+		return ctx.MRAMWrite(out[:], int64(n)*4)
+	}
+	return nil
 }
 
 // RunChecksum executes the checksum microbenchmark and validates every

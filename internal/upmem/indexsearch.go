@@ -83,120 +83,122 @@ func indexKernel() *pim.Kernel {
 			{Name: "is_q_off", Bytes: 4},
 			{Name: "is_res_off", Bytes: 4},
 		},
-		Run: func(ctx *pim.Ctx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			get := func(name string) (uint32, error) { return ctx.HostU32(name) }
-			words, err := get("is_words")
-			if err != nil {
-				return err
-			}
-			nq, err := get("is_nq")
-			if err != nil {
-				return err
-			}
-			qOff, err := get("is_q_off")
-			if err != nil {
-				return err
-			}
-			resOff, err := get("is_res_off")
-			if err != nil {
-				return err
-			}
+		Run: runIndexKernel,
+	}
+}
 
-			// Queries are small; share them in WRAM.
-			qBytes := int(nq) * 4
-			queries, err := ctx.Shared("is_queries", (qBytes+7)&^7)
-			if err != nil {
-				return err
-			}
-			if ctx.Me() == 0 {
-				for off := 0; off < qBytes; off += 2048 {
-					cnt := qBytes - off
-					if cnt > 2048 {
-						cnt = 2048
-					}
-					if err := ctx.MRAMRead(int64(qOff)+int64(off), queries[off:off+cnt]); err != nil {
-						return err
-					}
-				}
-			}
-			ctx.Barrier()
+func runIndexKernel(ctx *pim.Ctx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	get := func(name string) (uint32, error) { return ctx.HostU32(name) }
+	words, err := get("is_words")
+	if err != nil {
+		return err
+	}
+	nq, err := get("is_nq")
+	if err != nil {
+		return err
+	}
+	qOff, err := get("is_q_off")
+	if err != nil {
+		return err
+	}
+	resOff, err := get("is_res_off")
+	if err != nil {
+		return err
+	}
 
-			buf, err := ctx.Alloc(2048)
+	// Queries are small; share them in WRAM.
+	qBytes := int(nq) * 4
+	queries, err := ctx.Shared("is_queries", (qBytes+7)&^7)
+	if err != nil {
+		return err
+	}
+	if ctx.Me() == 0 {
+		for off := 0; off < qBytes; off += 2048 {
+			cnt := qBytes - off
+			if cnt > 2048 {
+				cnt = 2048
+			}
+			if err := ctx.MRAMRead(int64(qOff)+int64(off), queries[off:off+cnt]); err != nil {
+				return err
+			}
+		}
+	}
+	ctx.Barrier()
+
+	buf, err := ctx.Alloc(2048)
+	if err != nil {
+		return err
+	}
+	res, err := ctx.Alloc(isResultSize)
+	if err != nil {
+		return err
+	}
+	// Tasklets split the query batch; each scans the whole
+	// partition for its queries.
+	for q := ctx.Me(); q < int(nq); q += ctx.NumTasklets() {
+		term := binary.LittleEndian.Uint32(queries[4*q:])
+		hits := 0
+		for i := range res {
+			res[i] = 0
+		}
+		// Stream the partition — [nDocs, {docID, termCount,
+		// terms..., pad}...] — in 2 KB blocks.
+		idx := 0
+		next := func() (uint32, error) {
+			if idx%512 == 0 {
+				base := idx * 4
+				cnt := int(words)*4 - base
+				if cnt > 2048 {
+					cnt = 2048
+				}
+				if cnt <= 0 {
+					return 0, fmt.Errorf("index-search: scan past partition end")
+				}
+				if err := ctx.MRAMRead(int64(base), buf[:cnt]); err != nil {
+					return 0, err
+				}
+			}
+			v := binary.LittleEndian.Uint32(buf[(idx%512)*4:])
+			idx++
+			return v, nil
+		}
+		nDocs, err := next()
+		if err != nil {
+			return err
+		}
+		for d := uint32(0); d < nDocs; d++ {
+			docID, err := next()
 			if err != nil {
 				return err
 			}
-			res, err := ctx.Alloc(isResultSize)
+			termCount, err := next()
 			if err != nil {
 				return err
 			}
-			// Tasklets split the query batch; each scans the whole
-			// partition for its queries.
-			for q := ctx.Me(); q < int(nq); q += ctx.NumTasklets() {
-				term := binary.LittleEndian.Uint32(queries[4*q:])
-				hits := 0
-				for i := range res {
-					res[i] = 0
-				}
-				// Stream the partition — [nDocs, {docID, termCount,
-				// terms..., pad}...] — in 2 KB blocks.
-				idx := 0
-				next := func() (uint32, error) {
-					if idx%512 == 0 {
-						base := idx * 4
-						cnt := int(words)*4 - base
-						if cnt > 2048 {
-							cnt = 2048
-						}
-						if cnt <= 0 {
-							return 0, fmt.Errorf("index-search: scan past partition end")
-						}
-						if err := ctx.MRAMRead(int64(base), buf[:cnt]); err != nil {
-							return 0, err
-						}
-					}
-					v := binary.LittleEndian.Uint32(buf[(idx%512)*4:])
-					idx++
-					return v, nil
-				}
-				nDocs, err := next()
+			padded := (termCount + 1) &^ 1
+			for t := uint32(0); t < padded; t++ {
+				v, err := next()
 				if err != nil {
 					return err
 				}
-				for d := uint32(0); d < nDocs; d++ {
-					docID, err := next()
-					if err != nil {
-						return err
-					}
-					termCount, err := next()
-					if err != nil {
-						return err
-					}
-					padded := (termCount + 1) &^ 1
-					for t := uint32(0); t < padded; t++ {
-						v, err := next()
-						if err != nil {
-							return err
-						}
-						if t < termCount && v == term && hits < isMaxHits {
-							binary.LittleEndian.PutUint32(res[4*(2+2*hits):], docID)
-							binary.LittleEndian.PutUint32(res[4*(3+2*hits):], t)
-							hits++
-						}
-					}
-					ctx.Tick(int64(padded) * 3)
-				}
-				binary.LittleEndian.PutUint32(res, uint32(hits))
-				if err := ctx.MRAMWrite(res, int64(resOff)+int64(q)*isResultSize); err != nil {
-					return err
+				if t < termCount && v == term && hits < isMaxHits {
+					binary.LittleEndian.PutUint32(res[4*(2+2*hits):], docID)
+					binary.LittleEndian.PutUint32(res[4*(3+2*hits):], t)
+					hits++
 				}
 			}
-			return nil
-		},
+			ctx.Tick(int64(padded) * 3)
+		}
+		binary.LittleEndian.PutUint32(res, uint32(hits))
+		if err := ctx.MRAMWrite(res, int64(resOff)+int64(q)*isResultSize); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // corpus holds the synthetic Wikipedia subset.
@@ -415,7 +417,8 @@ func setU32At(set *sdk.Set, dpu int, name string, v uint32) error {
 // padTo8 rounds up to 8 bytes.
 func padTo8(n int) int { return (n + 7) &^ 7 }
 
-// Kernels returns the microbenchmark DPU binaries.
+// Kernels returns the microbenchmark DPU binaries. As in prim.Kernels,
+// each Run is a named function, so its per-word helpers are inlined.
 func Kernels() []*pim.Kernel {
 	return []*pim.Kernel{checksumKernel(), indexKernel()}
 }
