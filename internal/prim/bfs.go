@@ -188,14 +188,19 @@ func runBFSKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
-// RunBFS executes BFS from vertex 0 and checks every vertex level.
-func RunBFS(env sdk.Env, p Params) error {
-	p = p.withDefaults()
+// bfsData is BFS's prepared dataset: each DPU's CSR slice of the graph
+// (row pointers and neighbour lists, indexed by DPU), the longest slice's
+// neighbour count padded to 8 bytes, and the CPU reference's level of
+// every vertex.
+type bfsData struct {
+	ptrs, cols [][]uint32
+	maxNNZPad  int
+	levels     []int
+}
+
+func prepareBFS(p Params) *bfsData {
 	r := p.Rand()
 	n := p.size(bfsBaseVerts)
-	if n%p.DPUs != 0 {
-		return fmt.Errorf("bfs: %d vertices not divisible by %d DPUs", n, p.DPUs)
-	}
 	perVerts := n / p.DPUs
 
 	// Random graph plus a Hamiltonian-ish chain for connectivity.
@@ -230,6 +235,35 @@ func RunBFS(env sdk.Env, p Params) error {
 		}
 	}
 
+	// Per-DPU CSR slices, laid out uniformly (padded to the largest slice)
+	// so the geometry broadcasts once.
+	d := &bfsData{ptrs: make([][]uint32, p.DPUs), cols: make([][]uint32, p.DPUs), maxNNZPad: 2, levels: want}
+	for dpu := range d.ptrs {
+		localPtr := make([]uint32, perVerts+2)
+		var cols []uint32
+		for i := 0; i < perVerts; i++ {
+			localPtr[i] = uint32(len(cols))
+			cols = append(cols, adj[dpu*perVerts+i]...)
+		}
+		localPtr[perVerts] = uint32(len(cols))
+		d.ptrs[dpu], d.cols[dpu] = localPtr, cols
+		if nnzPad := padTo(len(cols), 2); nnzPad > d.maxNNZPad {
+			d.maxNNZPad = nnzPad
+		}
+	}
+	return d
+}
+
+// RunBFS executes BFS from vertex 0 and checks every vertex level.
+func RunBFS(env sdk.Env, p Params) error {
+	p = p.withDefaults()
+	n := p.size(bfsBaseVerts)
+	if n%p.DPUs != 0 {
+		return fmt.Errorf("bfs: %d vertices not divisible by %d DPUs", n, p.DPUs)
+	}
+	perVerts := n / p.DPUs
+	in := prepared("BFS", p, prepareBFS)
+
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
 		return err
@@ -242,28 +276,12 @@ func RunBFS(env sdk.Env, p Params) error {
 	words := padTo(n, 64) / 64
 	bmBytes := words * 8
 
-	// Per-DPU CSR slices, laid out uniformly (padded to the largest slice)
-	// so the geometry broadcasts once. bfs_base differs per DPU and is the
-	// only per-DPU symbol.
-	localPtrs := make([][]uint32, p.DPUs)
-	localCols := make([][]uint32, p.DPUs)
-	maxNNZPad := 2
-	for d := 0; d < p.DPUs; d++ {
-		localPtr := make([]uint32, perVerts+2)
-		var cols []uint32
-		for i := 0; i < perVerts; i++ {
-			localPtr[i] = uint32(len(cols))
-			cols = append(cols, adj[d*perVerts+i]...)
-		}
-		localPtr[perVerts] = uint32(len(cols))
-		localPtrs[d], localCols[d] = localPtr, cols
-		if nnzPad := padTo(len(cols), 2); nnzPad > maxNNZPad {
-			maxNNZPad = nnzPad
-		}
-	}
+	// Every DPU's slice sits at the same offsets, so the geometry
+	// broadcasts once. bfs_base differs per DPU and is the only per-DPU
+	// symbol.
 	ptrBytes := padTo((perVerts+2)*4, 8)
 	colOff := int64(ptrBytes)
-	frontOff := colOff + int64(maxNNZPad*4)
+	frontOff := colOff + int64(in.maxNNZPad*4)
 	visOff := frontOff + int64(bmBytes)
 	nextOff := visOff + int64(bmBytes)
 
@@ -292,19 +310,21 @@ func RunBFS(env sdk.Env, p Params) error {
 			if err := setU32SymAt(set, d, "bfs_base", uint32(d*perVerts)); err != nil {
 				return err
 			}
-			ptrBuf, err := allocU32(env, localPtrs[d])
+			ptrBuf, err := allocU32(env, in.ptrs[d])
 			if err != nil {
 				return err
 			}
 			if err := set.CopyToMRAM(d, 0, ptrBuf, ptrBytes); err != nil {
 				return err
 			}
-			if len(localCols[d]) > 0 {
-				colBuf, err := allocU32(env, append(localCols[d], 0))
+			if cols := in.cols[d]; len(cols) > 0 {
+				// The full slice expression makes append copy: it must not
+				// write past the prepared slice's length.
+				colBuf, err := allocU32(env, append(cols[:len(cols):len(cols)], 0))
 				if err != nil {
 					return err
 				}
-				if err := set.CopyToMRAM(d, colOff, colBuf, padTo(len(localCols[d]), 2)*4); err != nil {
+				if err := set.CopyToMRAM(d, colOff, colBuf, padTo(len(cols), 2)*4); err != nil {
 					return err
 				}
 			}
@@ -403,9 +423,9 @@ func RunBFS(env sdk.Env, p Params) error {
 		front = next
 	}
 
-	for v := 0; v < n; v++ {
-		if levels[v] != want[v] {
-			return fmt.Errorf("bfs: level[%d] = %d, want %d", v, levels[v], want[v])
+	for v, want := range in.levels {
+		if levels[v] != want {
+			return fmt.Errorf("bfs: level[%d] = %d, want %d", v, levels[v], want)
 		}
 	}
 	return nil

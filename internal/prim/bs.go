@@ -111,10 +111,23 @@ func runBSKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
+// bsData is BS's prepared dataset: the sorted array and the query batch,
+// drawn from it. Each hit is checked in the run.
+type bsData struct{ arr, queries []uint32 }
+
+func prepareBS(p Params) *bsData {
+	r := p.Rand()
+	n := p.size(bsBaseElems)
+	d := &bsData{arr: sortedU32(r, n), queries: make([]uint32, bsQueries)}
+	for i := range d.queries {
+		d.queries[i] = d.arr[r.Intn(n)]
+	}
+	return d
+}
+
 // RunBS executes the batch binary search and checks every query position.
 func RunBS(env sdk.Env, p Params) error {
 	p = p.withDefaults()
-	r := p.Rand()
 	n := p.size(bsBaseElems)
 	if n%p.DPUs != 0 {
 		return fmt.Errorf("bs: %d elements not divisible by %d DPUs", n, p.DPUs)
@@ -122,12 +135,8 @@ func RunBS(env sdk.Env, p Params) error {
 	per := n / p.DPUs
 	perBytes := per * 4
 	q := bsQueries
-
-	arr := sortedU32(r, n)
-	queries := make([]uint32, q)
-	for i := range queries {
-		queries[i] = arr[r.Intn(n)]
-	}
+	in := prepared("BS", p, prepareBS)
+	arr, queries := in.arr, in.queries
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {

@@ -96,10 +96,32 @@ func runGEMVKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
+// gemvData is GEMV's prepared dataset: M, x and the CPU product y.
+type gemvData struct{ mat, x, y []uint32 }
+
+func prepareGEMV(p Params) *gemvData {
+	r := p.Rand()
+	rows, cols := p.size(gemvBaseRows), gemvCols
+	d := &gemvData{mat: make([]uint32, rows*cols), x: make([]uint32, cols), y: make([]uint32, rows)}
+	for i := range d.mat {
+		d.mat[i] = uint32(r.Intn(1 << 10))
+	}
+	for i := range d.x {
+		d.x[i] = uint32(r.Intn(1 << 10))
+	}
+	for row := range d.y {
+		var y uint32
+		for c := 0; c < cols; c++ {
+			y += d.mat[row*cols+c] * d.x[c]
+		}
+		d.y[row] = y
+	}
+	return d
+}
+
 // RunGEMV executes y = M*x and checks against the CPU product.
 func RunGEMV(env sdk.Env, p Params) error {
 	p = p.withDefaults()
-	r := p.Rand()
 	rows := p.size(gemvBaseRows)
 	cols := gemvCols
 	if rows%p.DPUs != 0 {
@@ -108,15 +130,7 @@ func RunGEMV(env sdk.Env, p Params) error {
 	perRows := rows / p.DPUs
 	rowBytes := cols * 4
 	perBytes := perRows * rowBytes
-
-	mat := make([]uint32, rows*cols)
-	for i := range mat {
-		mat[i] = uint32(r.Intn(1 << 10))
-	}
-	x := make([]uint32, cols)
-	for i := range x {
-		x[i] = uint32(r.Intn(1 << 10))
-	}
+	in := prepared("GEMV", p, prepareGEMV)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -127,11 +141,11 @@ func RunGEMV(env sdk.Env, p Params) error {
 		return err
 	}
 
-	matBuf, err := allocU32(env, mat)
+	matBuf, err := allocU32(env, in.mat)
 	if err != nil {
 		return err
 	}
-	xBuf, err := allocU32(env, x)
+	xBuf, err := allocU32(env, in.x)
 	if err != nil {
 		return err
 	}
@@ -185,11 +199,7 @@ func RunGEMV(env sdk.Env, p Params) error {
 		return err
 	}
 
-	for row := 0; row < rows; row++ {
-		var want uint32
-		for c := 0; c < cols; c++ {
-			want += mat[row*cols+c] * x[c]
-		}
+	for row, want := range in.y {
 		if got := u32At(yBuf.Data, row*2); got != want {
 			return fmt.Errorf("gemv: y[%d] = %d, want %d", row, got, want)
 		}

@@ -138,38 +138,48 @@ func log2(v int) int {
 
 // RunHSTS executes the short histogram.
 func RunHSTS(env sdk.Env, p Params) error {
-	return runHST(env, p, "prim/hst-s", hstBinsShort)
+	return runHST(env, p, "HST-S", "prim/hst-s", hstBinsShort)
 }
 
 // RunHSTL executes the long histogram.
 func RunHSTL(env sdk.Env, p Params) error {
-	return runHST(env, p, "prim/hst-l", hstBinsLong)
+	return runHST(env, p, "HST-L", "prim/hst-l", hstBinsLong)
 }
 
-func runHST(env sdk.Env, p Params, kernel string, bins int) error {
-	p = p.withDefaults()
+// hstData is HST-S's or HST-L's prepared dataset: the image and its CPU
+// histogram.
+type hstData struct {
+	input []uint32
+	want  []uint64
+}
+
+func prepareHST(p Params, bins int) *hstData {
 	r := p.Rand()
+	d := &hstData{input: make([]uint32, p.size(hstBaseElems)), want: make([]uint64, bins)}
+	// Synthetic image: pixel values follow a truncated quadratic ramp so
+	// bins are non-uniform (as in a natural image).
+	shift := uint(hstDepth) - uint(log2(bins))
+	for i := range d.input {
+		v := uint32(r.Intn(1 << hstDepth))
+		w := uint32(r.Intn(1 << hstDepth))
+		if w < v {
+			v = w
+		}
+		d.input[i] = v
+		d.want[v>>shift]++
+	}
+	return d
+}
+
+func runHST(env sdk.Env, p Params, app, kernel string, bins int) error {
+	p = p.withDefaults()
 	n := p.size(hstBaseElems)
 	if n%p.DPUs != 0 {
 		return fmt.Errorf("hst: %d elements not divisible by %d DPUs", n, p.DPUs)
 	}
 	per := n / p.DPUs
 	perBytes := per * 4
-
-	// Synthetic image: pixel values follow a truncated quadratic ramp so
-	// bins are non-uniform (as in a natural image).
-	input := make([]uint32, n)
-	want := make([]uint64, bins)
-	shift := uint(hstDepth) - uint(log2(bins))
-	for i := range input {
-		v := uint32(r.Intn(1 << hstDepth))
-		w := uint32(r.Intn(1 << hstDepth))
-		if w < v {
-			v = w
-		}
-		input[i] = v
-		want[v>>shift]++
-	}
+	in := prepared(app, p, func(p Params) *hstData { return prepareHST(p, bins) })
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -180,7 +190,7 @@ func runHST(env sdk.Env, p Params, kernel string, bins int) error {
 		return err
 	}
 
-	buf, err := allocU32(env, input)
+	buf, err := allocU32(env, in.input)
 	if err != nil {
 		return err
 	}
@@ -226,9 +236,9 @@ func runHST(env sdk.Env, p Params, kernel string, bins int) error {
 		return err
 	}
 
-	for b := range want {
-		if got[b] != want[b] {
-			return fmt.Errorf("hst: bin %d = %d, want %d", b, got[b], want[b])
+	for b, want := range in.want {
+		if got[b] != want {
+			return fmt.Errorf("hst: bin %d = %d, want %d", b, got[b], want)
 		}
 	}
 	return nil

@@ -124,16 +124,45 @@ func runMLPKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
+// mlpDims are the layer widths: the input, then each layer's output.
+var mlpDims = [mlpLayers + 1]int{mlpInputDim, mlpHiddenDim, mlpHiddenDim, mlpHiddenDim}
+
+// mlpData is MLP's prepared dataset: each layer's weights as the int32
+// words pushed to the DPUs, the input activations and the CPU model's
+// output.
+type mlpData struct {
+	weights [][]uint32
+	x0      []int32
+	want    []int32
+}
+
+func prepareMLP(p Params) *mlpData {
+	r := p.Rand()
+	d := &mlpData{weights: make([][]uint32, mlpLayers), x0: make([]int32, mlpDims[0])}
+	for l := range d.weights {
+		w := make([]uint32, mlpDims[l+1]*mlpDims[l])
+		for i := range w {
+			w[i] = uint32(int32(r.Intn(16) - 8))
+		}
+		d.weights[l] = w
+	}
+	for i := range d.x0 {
+		d.x0[i] = int32(r.Intn(64))
+	}
+	d.want = mlpReference(d.weights, d.x0)
+	return d
+}
+
 // mlpReference is the CPU model.
-func mlpReference(weights [][]int32, dims []int, x []int32) []int32 {
+func mlpReference(weights [][]uint32, x []int32) []int32 {
 	act := x
-	for l := 0; l < len(dims)-1; l++ {
-		rows, cols := dims[l+1], dims[l]
+	for l, w := range weights {
+		rows, cols := mlpDims[l+1], mlpDims[l]
 		next := make([]int32, rows)
 		for rIdx := 0; rIdx < rows; rIdx++ {
 			var acc int64
 			for c := 0; c < cols; c++ {
-				acc += int64(weights[l][rIdx*cols+c]) * int64(act[c])
+				acc += int64(int32(w[rIdx*cols+c])) * int64(act[c])
 			}
 			if acc < 0 {
 				acc = 0
@@ -148,27 +177,13 @@ func mlpReference(weights [][]int32, dims []int, x []int32) []int32 {
 // RunMLP executes 3-layer inference and checks the final activations.
 func RunMLP(env sdk.Env, p Params) error {
 	p = p.withDefaults()
-	r := p.Rand()
-	dims := []int{mlpInputDim, mlpHiddenDim, mlpHiddenDim, mlpHiddenDim}
+	dims := mlpDims[:]
 	for l := 1; l < len(dims); l++ {
 		if dims[l]%p.DPUs != 0 {
 			return fmt.Errorf("mlp: layer dim %d not divisible by %d DPUs", dims[l], p.DPUs)
 		}
 	}
-
-	weights := make([][]int32, mlpLayers)
-	for l := 0; l < mlpLayers; l++ {
-		w := make([]int32, dims[l+1]*dims[l])
-		for i := range w {
-			w[i] = int32(r.Intn(16) - 8)
-		}
-		weights[l] = w
-	}
-	x0 := make([]int32, dims[0])
-	for i := range x0 {
-		x0[i] = int32(r.Intn(64))
-	}
-	want := mlpReference(weights, dims, x0)
+	in := prepared("MLP", p, prepareMLP)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -205,11 +220,7 @@ func RunMLP(env sdk.Env, p Params) error {
 			perRows := dims[l+1] / p.DPUs
 			rowBytes := dims[l] * 4
 			perBytes := perRows * rowBytes
-			wU32 := make([]uint32, len(weights[l]))
-			for i, v := range weights[l] {
-				wU32[i] = uint32(v)
-			}
-			wBuf, err := allocU32(env, wU32)
+			wBuf, err := allocU32(env, in.weights[l])
 			if err != nil {
 				return err
 			}
@@ -228,7 +239,7 @@ func RunMLP(env sdk.Env, p Params) error {
 		return err
 	}
 
-	act := x0
+	act := in.x0
 	for l := 0; l < mlpLayers; l++ {
 		perRows := dims[l+1] / p.DPUs
 		phase := trace.PhaseInterDPU
@@ -305,9 +316,9 @@ func RunMLP(env sdk.Env, p Params) error {
 		act = next
 	}
 
-	for i := range want {
-		if act[i] != want[i] {
-			return fmt.Errorf("mlp: out[%d] = %d, want %d", i, act[i], want[i])
+	for i, want := range in.want {
+		if act[i] != want {
+			return fmt.Errorf("mlp: out[%d] = %d, want %d", i, act[i], want)
 		}
 	}
 	return nil

@@ -151,25 +151,24 @@ func runNWKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
-// RunNW aligns two random sequences block-diagonally and checks the final
-// alignment score against the full CPU DP.
-func RunNW(env sdk.Env, p Params) error {
-	p = p.withDefaults()
+// nwData is NW's prepared dataset: the two sequences and the alignment
+// score of the full CPU DP.
+type nwData struct {
+	seqA, seqB []int32
+	score      int32
+}
+
+func prepareNW(p Params) *nwData {
 	r := p.Rand()
 	l := p.size(nwBaseLen)
-	grid := l / nwBlock
-	if grid*nwBlock != l {
-		return fmt.Errorf("nw: length %d not divisible by block %d", l, nwBlock)
-	}
-
-	seqA := make([]int32, l)
-	seqB := make([]int32, l)
+	d := &nwData{seqA: make([]int32, l), seqB: make([]int32, l)}
+	seqA, seqB := d.seqA, d.seqB
 	for i := 0; i < l; i++ {
 		seqA[i] = int32(r.Intn(4))
 		seqB[i] = int32(r.Intn(4))
 	}
 
-	// CPU reference: full DP with two rolling rows.
+	// Full DP with two rolling rows.
 	prev := make([]int32, l+1)
 	cur := make([]int32, l+1)
 	for j := 0; j <= l; j++ {
@@ -193,7 +192,21 @@ func RunNW(env sdk.Env, p Params) error {
 		}
 		prev, cur = cur, prev
 	}
-	want := prev[l]
+	d.score = prev[l]
+	return d
+}
+
+// RunNW aligns two random sequences block-diagonally and checks the final
+// alignment score against the full CPU DP.
+func RunNW(env sdk.Env, p Params) error {
+	p = p.withDefaults()
+	l := p.size(nwBaseLen)
+	grid := l / nwBlock
+	if grid*nwBlock != l {
+		return fmt.Errorf("nw: length %d not divisible by block %d", l, nwBlock)
+	}
+	in := prepared("NW", p, prepareNW)
+	seqA, seqB := in.seqA, in.seqB
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -363,9 +376,8 @@ func RunNW(env sdk.Env, p Params) error {
 		}
 	}
 
-	got := top[grid][grid-1][nwBlock]
-	if got != want {
-		return fmt.Errorf("nw: score = %d, want %d", got, want)
+	if got := top[grid][grid-1][nwBlock]; got != in.score {
+		return fmt.Errorf("nw: score = %d, want %d", got, in.score)
 	}
 	return nil
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"repro/internal/hostmem"
 	"repro/internal/sdk"
@@ -123,6 +124,62 @@ func Names() []string {
 		out[i] = a.Name
 	}
 	return out
+}
+
+// --- Prepared datasets ----------------------------------------------------
+
+// Every application's host program has two parts. Its prepare function is
+// pure: from Params alone it builds the inputs (every draw from p.Rand())
+// and the expected outputs of any CPU reference that costs more than
+// constant work per output element. The run allocates guest buffers,
+// pushes, launches, pulls and compares; a check that compares each output
+// element with one expression of the inputs (VA, SCAN, TRNS, BS) stays in
+// the run, so the prepared value holds no output-sized array the run does
+// not already hold.
+
+// lastPrepared is prepared's one entry: the most recent (app, Params) and
+// what its prepare function built. It is process-wide because App.Run's
+// callers hand a run nothing but its Params. Since a value depends on its
+// key alone, callers sharing the entry can change what a run costs, never
+// what it computes.
+var lastPrepared struct {
+	sync.Mutex
+	app string
+	p   Params
+	v   any
+}
+
+// prepared returns what prepare builds for app at p, reusing the previous
+// call's value when it was for the same app and Params. Fig 8 runs each app
+// natively and then under vPIM with equal Params, a conformance matrix row
+// runs one app in every configuration, and Fig 14 runs it once per variant,
+// so the run after the first skips generation and references entirely. A
+// new key replaces the entry, and the old value is dropped before the new
+// one is built, so memory stays bounded by one dataset.
+//
+// The value is shared by every run of its key, concurrent ones included:
+// runs only read it. Inputs reach the device through copies into guest
+// buffers (allocU32); a run never writes into a prepared slice nor appends
+// to one. TestPreparedReadOnly holds that.
+//
+// prepare runs outside the lock, so concurrent misses on one key may each
+// build it; the last to finish stays.
+func prepared[T any](app string, p Params, prepare func(Params) T) T {
+	p = p.withDefaults()
+	m := &lastPrepared
+	m.Lock()
+	if m.v != nil && m.app == app && m.p == p {
+		v := m.v.(T)
+		m.Unlock()
+		return v
+	}
+	m.v = nil
+	m.Unlock()
+	v := prepare(p)
+	m.Lock()
+	m.app, m.p, m.v = app, p, v
+	m.Unlock()
+	return v
 }
 
 // --- Buffer helpers -------------------------------------------------------

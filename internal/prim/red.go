@@ -79,10 +79,25 @@ func runREDKernel(ctx *pim.Ctx) error {
 	return ctx.MRAMWrite(out[:], int64(resOff)+int64(ctx.Me())*8)
 }
 
+// redData is RED's prepared dataset: the input and its CPU sum.
+type redData struct {
+	input []uint32
+	sum   uint64
+}
+
+func prepareRED(p Params) *redData {
+	r := p.Rand()
+	d := &redData{input: make([]uint32, p.size(redBaseElems))}
+	for i := range d.input {
+		d.input[i] = uint32(r.Intn(1 << 20))
+		d.sum += uint64(d.input[i])
+	}
+	return d
+}
+
 // RunRED executes the reduction and checks the global sum.
 func RunRED(env sdk.Env, p Params) error {
 	p = p.withDefaults()
-	r := p.Rand()
 	n := p.size(redBaseElems)
 	if n%p.DPUs != 0 {
 		return fmt.Errorf("red: %d elements not divisible by %d DPUs", n, p.DPUs)
@@ -90,13 +105,7 @@ func RunRED(env sdk.Env, p Params) error {
 	per := n / p.DPUs
 	perBytes := per * 4
 	resultOff := padTo(perBytes, 8)
-
-	input := make([]uint32, n)
-	var want uint64
-	for i := range input {
-		input[i] = uint32(r.Intn(1 << 20))
-		want += uint64(input[i])
-	}
+	in := prepared("RED", p, prepareRED)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -107,7 +116,7 @@ func RunRED(env sdk.Env, p Params) error {
 		return err
 	}
 
-	buf, err := allocU32(env, input)
+	buf, err := allocU32(env, in.input)
 	if err != nil {
 		return err
 	}
@@ -157,8 +166,8 @@ func RunRED(env sdk.Env, p Params) error {
 		return err
 	}
 
-	if got != want {
-		return fmt.Errorf("red: sum = %d, want %d", got, want)
+	if got != in.sum {
+		return fmt.Errorf("red: sum = %d, want %d", got, in.sum)
 	}
 	return nil
 }

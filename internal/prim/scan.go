@@ -322,28 +322,36 @@ func runScanRSSScanKernel(ctx *pim.Ctx) error {
 
 // RunSCANSSA executes the scan-scan-add prefix sum.
 func RunSCANSSA(env sdk.Env, p Params) error {
-	return runScan(env, p, "prim/scan-ssa-scan", "prim/scan-ssa-add", false)
+	return runScan(env, p, "SCAN-SSA", "prim/scan-ssa-scan", "prim/scan-ssa-add")
 }
 
 // RunSCANRSS executes the reduce-scan-scan prefix sum.
 func RunSCANRSS(env sdk.Env, p Params) error {
-	return runScan(env, p, "prim/scan-rss-reduce", "prim/scan-rss-scan", true)
+	return runScan(env, p, "SCAN-RSS", "prim/scan-rss-reduce", "prim/scan-rss-scan")
 }
 
-func runScan(env sdk.Env, p Params, kernel1, kernel2 string, rssOrder bool) error {
-	p = p.withDefaults()
+// scanData is SCAN-SSA's or SCAN-RSS's prepared dataset: the input. Each
+// output element is checked against a running sum in the run.
+type scanData struct{ input []uint32 }
+
+func prepareScan(p Params) *scanData {
 	r := p.Rand()
+	d := &scanData{input: make([]uint32, p.size(scanBaseElems))}
+	for i := range d.input {
+		d.input[i] = uint32(r.Intn(1 << 16))
+	}
+	return d
+}
+
+func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
+	p = p.withDefaults()
 	n := p.size(scanBaseElems)
 	if n%p.DPUs != 0 {
 		return fmt.Errorf("scan: %d elements not divisible by %d DPUs", n, p.DPUs)
 	}
 	per := n / p.DPUs
 	perBytes := per * 4
-
-	input := make([]uint32, n)
-	for i := range input {
-		input[i] = uint32(r.Intn(1 << 16))
-	}
+	input := prepared(app, p, prepareScan).input
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -431,7 +439,6 @@ func runScan(env sdk.Env, p Params, kernel1, kernel2 string, rssOrder bool) erro
 	if err != nil {
 		return err
 	}
-	_ = rssOrder
 
 	var running uint32
 	for i := 0; i < n; i++ {

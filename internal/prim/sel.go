@@ -212,25 +212,23 @@ func runCompactKernel(ctx *pim.Ctx, unique bool) error {
 
 // RunSEL executes Select (keep even values) with serial retrieval.
 func RunSEL(env sdk.Env, p Params) error {
-	return runCompact(env, p, "prim/sel", false)
+	return runCompact(env, p, "SEL", "prim/sel", false)
 }
 
 // RunUNI executes Unique (drop consecutive duplicates) with serial
 // retrieval.
 func RunUNI(env sdk.Env, p Params) error {
-	return runCompact(env, p, "prim/uni", true)
+	return runCompact(env, p, "UNI", "prim/uni", true)
 }
 
-func runCompact(env sdk.Env, p Params, kernel string, unique bool) error {
-	p = p.withDefaults()
+// compactData is SEL's or UNI's prepared dataset: the input and the values
+// the CPU reference keeps.
+type compactData struct{ input, want []uint32 }
+
+func prepareCompact(p Params, unique bool) *compactData {
 	r := p.Rand()
 	n := p.size(selBaseElems)
-	if n%p.DPUs != 0 {
-		return fmt.Errorf("sel: %d elements not divisible by %d DPUs", n, p.DPUs)
-	}
 	per := n / p.DPUs
-	perBytes := per * 4
-
 	input := make([]uint32, n)
 	if unique {
 		// Runs of duplicates so UNI has work to do.
@@ -247,6 +245,34 @@ func runCompact(env sdk.Env, p Params, kernel string, unique bool) error {
 		}
 	}
 
+	// CPU reference. UNI's boundary semantics mirror the kernel: inside a
+	// chunk, tasklets peek at the predecessor element, but the first
+	// element of each DPU chunk is kept unconditionally (DPUs cannot see
+	// each other's data — an UPMEM hardware limitation the host tolerates).
+	var want []uint32
+	for i, v := range input {
+		switch {
+		case !unique:
+			if v%2 == 0 {
+				want = append(want, v)
+			}
+		case i%per == 0 || v != input[i-1]:
+			want = append(want, v)
+		}
+	}
+	return &compactData{input: input, want: want}
+}
+
+func runCompact(env sdk.Env, p Params, app, kernel string, unique bool) error {
+	p = p.withDefaults()
+	n := p.size(selBaseElems)
+	if n%p.DPUs != 0 {
+		return fmt.Errorf("sel: %d elements not divisible by %d DPUs", n, p.DPUs)
+	}
+	per := n / p.DPUs
+	perBytes := per * 4
+	in := prepared(app, p, func(p Params) *compactData { return prepareCompact(p, unique) })
+
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
 		return err
@@ -256,7 +282,7 @@ func runCompact(env sdk.Env, p Params, kernel string, unique bool) error {
 		return err
 	}
 
-	buf, err := allocU32(env, input)
+	buf, err := allocU32(env, in.input)
 	if err != nil {
 		return err
 	}
@@ -311,22 +337,7 @@ func runCompact(env sdk.Env, p Params, kernel string, unique bool) error {
 		return err
 	}
 
-	// CPU reference. UNI's boundary semantics mirror the kernel: inside a
-	// chunk, tasklets peek at the predecessor element, but the first
-	// element of each DPU chunk is kept unconditionally (DPUs cannot see
-	// each other's data — an UPMEM hardware limitation the host tolerates).
-	var want []uint32
-	for i, v := range input {
-		switch {
-		case !unique:
-			if v%2 == 0 {
-				want = append(want, v)
-			}
-		case i%per == 0 || v != input[i-1]:
-			want = append(want, v)
-		}
-	}
-
+	want := in.want
 	if len(got) != len(want) {
 		return fmt.Errorf("sel: kept %d values, want %d", len(got), len(want))
 	}

@@ -140,18 +140,13 @@ func runSpMVKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
-// RunSpMV executes y = A*x on a random CSR matrix and checks against CPU.
-func RunSpMV(env sdk.Env, p Params) error {
-	p = p.withDefaults()
-	r := p.Rand()
-	rows := p.size(spmvBaseRows)
-	cols := spmvCols
-	if rows%p.DPUs != 0 {
-		return fmt.Errorf("spmv: %d rows not divisible by %d DPUs", rows, p.DPUs)
-	}
-	perRows := rows / p.DPUs
+// spmvData is SpMV's prepared dataset: a random CSR matrix A, the vector
+// x and the CPU product y.
+type spmvData struct{ rowptr, colidx, vals, x, y []uint32 }
 
-	// Random CSR matrix.
+func prepareSpMV(p Params) *spmvData {
+	r := p.Rand()
+	rows, cols := p.size(spmvBaseRows), spmvCols
 	rowptr := make([]uint32, rows+1)
 	var colidx, vals []uint32
 	for rIdx := 0; rIdx < rows; rIdx++ {
@@ -174,6 +169,26 @@ func RunSpMV(env sdk.Env, p Params) error {
 	for i := range x {
 		x[i] = uint32(r.Intn(1 << 10))
 	}
+	y := make([]uint32, rows)
+	for rIdx := range y {
+		for pos := rowptr[rIdx]; pos < rowptr[rIdx+1]; pos++ {
+			y[rIdx] += vals[pos] * x[colidx[pos]]
+		}
+	}
+	return &spmvData{rowptr: rowptr, colidx: colidx, vals: vals, x: x, y: y}
+}
+
+// RunSpMV executes y = A*x on a random CSR matrix and checks against CPU.
+func RunSpMV(env sdk.Env, p Params) error {
+	p = p.withDefaults()
+	rows := p.size(spmvBaseRows)
+	cols := spmvCols
+	if rows%p.DPUs != 0 {
+		return fmt.Errorf("spmv: %d rows not divisible by %d DPUs", rows, p.DPUs)
+	}
+	perRows := rows / p.DPUs
+	in := prepared("SpMV", p, prepareSpMV)
+	rowptr, colidx, vals := in.rowptr, in.colidx, in.vals
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -184,7 +199,7 @@ func RunSpMV(env sdk.Env, p Params) error {
 		return err
 	}
 
-	xBuf, err := allocU32(env, x)
+	xBuf, err := allocU32(env, in.x)
 	if err != nil {
 		return err
 	}
@@ -288,11 +303,7 @@ func RunSpMV(env sdk.Env, p Params) error {
 		return err
 	}
 
-	for rIdx := 0; rIdx < rows; rIdx++ {
-		var want uint32
-		for pos := rowptr[rIdx]; pos < rowptr[rIdx+1]; pos++ {
-			want += vals[pos] * x[colidx[pos]]
-		}
+	for rIdx, want := range in.y {
 		if got := u32At(yBuf.Data, rIdx*2); got != want {
 			return fmt.Errorf("spmv: y[%d] = %d, want %d", rIdx, got, want)
 		}

@@ -102,10 +102,22 @@ func runTRNSKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
+// trnsData is TRNS's prepared dataset: the matrix. Its transpose is checked
+// in the run.
+type trnsData struct{ mat []uint32 }
+
+func prepareTRNS(p Params) *trnsData {
+	r := p.Rand()
+	d := &trnsData{mat: make([]uint32, p.size(trnsBaseRows)*trnsBaseCols)}
+	for i := range d.mat {
+		d.mat[i] = uint32(r.Intn(1 << 30))
+	}
+	return d
+}
+
 // RunTRNS transposes a random matrix and checks every element.
 func RunTRNS(env sdk.Env, p Params) error {
 	p = p.withDefaults()
-	r := p.Rand()
 	rows := p.size(trnsBaseRows)
 	cols := trnsBaseCols
 	tr, tc := rows/trnsTile, cols/trnsTile
@@ -113,11 +125,7 @@ func RunTRNS(env sdk.Env, p Params) error {
 		return fmt.Errorf("trns: %dx%d not divisible by tile %d", rows, cols, trnsTile)
 	}
 	nTiles := tr * tc
-
-	mat := make([]uint32, rows*cols)
-	for i := range mat {
-		mat[i] = uint32(r.Intn(1 << 30))
-	}
+	mat := prepared("TRNS", p, prepareTRNS).mat
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {

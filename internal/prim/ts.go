@@ -138,43 +138,51 @@ func runTSKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
+// tsData is TS's prepared dataset: the series (with the query-length tail
+// the last window reads), the query, and the CPU reference's minimum sum
+// of absolute differences and the first window reaching it.
+type tsData struct {
+	series, query []uint32
+	sad           uint64
+	idx           int
+}
+
+func prepareTS(p Params) *tsData {
+	r := p.Rand()
+	n, m := p.size(tsBaseLen), tsQueryLen
+	d := &tsData{series: make([]uint32, n+m-1), query: make([]uint32, m), sad: ^uint64(0)}
+	for i := range d.series {
+		d.series[i] = uint32(r.Intn(1 << 16))
+	}
+	for i := range d.query {
+		d.query[i] = uint32(r.Intn(1 << 16))
+	}
+	for w := 0; w < n; w++ {
+		var sad uint64
+		for j := 0; j < m; j++ {
+			diff := int64(d.series[w+j]) - int64(d.query[j])
+			if diff < 0 {
+				diff = -diff
+			}
+			sad += uint64(diff)
+		}
+		if sad < d.sad {
+			d.sad, d.idx = sad, w
+		}
+	}
+	return d
+}
+
 // RunTS executes the subsequence search and checks the global minimum.
 func RunTS(env sdk.Env, p Params) error {
 	p = p.withDefaults()
-	r := p.Rand()
 	n := p.size(tsBaseLen)
 	m := tsQueryLen
 	if n%p.DPUs != 0 {
 		return fmt.Errorf("ts: %d points not divisible by %d DPUs", n, p.DPUs)
 	}
 	per := n / p.DPUs
-
-	series := make([]uint32, n+m-1)
-	for i := range series {
-		series[i] = uint32(r.Intn(1 << 16))
-	}
-	query := make([]uint32, m)
-	for i := range query {
-		query[i] = uint32(r.Intn(1 << 16))
-	}
-
-	// CPU reference.
-	wantSAD := ^uint64(0)
-	wantIdx := 0
-	for w := 0; w < n; w++ {
-		var sad uint64
-		for j := 0; j < m; j++ {
-			d := int64(series[w+j]) - int64(query[j])
-			if d < 0 {
-				d = -d
-			}
-			sad += uint64(d)
-		}
-		if sad < wantSAD {
-			wantSAD = sad
-			wantIdx = w
-		}
-	}
+	in := prepared("TS", p, prepareTS)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -185,11 +193,11 @@ func RunTS(env sdk.Env, p Params) error {
 		return err
 	}
 
-	buf, err := allocU32(env, series)
+	buf, err := allocU32(env, in.series)
 	if err != nil {
 		return err
 	}
-	qBuf, err := allocU32(env, query)
+	qBuf, err := allocU32(env, in.query)
 	if err != nil {
 		return err
 	}
@@ -252,8 +260,8 @@ func RunTS(env sdk.Env, p Params) error {
 		return err
 	}
 
-	if gotSAD != wantSAD || gotIdx != uint64(wantIdx) {
-		return fmt.Errorf("ts: min=(%d at %d), want (%d at %d)", gotSAD, gotIdx, wantSAD, wantIdx)
+	if gotSAD != in.sad || gotIdx != uint64(in.idx) {
+		return fmt.Errorf("ts: min=(%d at %d), want (%d at %d)", gotSAD, gotIdx, in.sad, in.idx)
 	}
 	return nil
 }

@@ -77,10 +77,24 @@ func runVAKernel(ctx *pim.Ctx) error {
 	return nil
 }
 
+// vaData is VA's prepared dataset: the two operands. C = A + B is checked
+// in the run.
+type vaData struct{ a, b []uint32 }
+
+func prepareVA(p Params) *vaData {
+	r := p.Rand()
+	n := p.size(vaBaseElems)
+	d := &vaData{a: make([]uint32, n), b: make([]uint32, n)}
+	for i := range d.a {
+		d.a[i] = uint32(r.Intn(1 << 30))
+		d.b[i] = uint32(r.Intn(1 << 30))
+	}
+	return d
+}
+
 // RunVA executes vector addition and checks C = A + B.
 func RunVA(env sdk.Env, p Params) error {
 	p = p.withDefaults()
-	r := p.Rand()
 	n := p.size(vaBaseElems)
 	if n%p.DPUs != 0 {
 		return fmt.Errorf("va: %d elements not divisible by %d DPUs", n, p.DPUs)
@@ -90,13 +104,8 @@ func RunVA(env sdk.Env, p Params) error {
 		return fmt.Errorf("va: per-DPU chunk %d not 8-byte aligned", per)
 	}
 	perBytes := per * 4
-
-	a := make([]uint32, n)
-	b := make([]uint32, n)
-	for i := range a {
-		a[i] = uint32(r.Intn(1 << 30))
-		b[i] = uint32(r.Intn(1 << 30))
-	}
+	in := prepared("VA", p, prepareVA)
+	a, b := in.a, in.b
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
