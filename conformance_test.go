@@ -47,10 +47,10 @@ var nativeGolden = filepath.Join("testdata", "native_kernels.golden")
 // the conformance matrix (native reference, all Table 2 variants, both
 // copy engines, vhost, parallel on/off, multi-VM oversubscription) and
 // asserts bit-exact output agreement plus the counter and virtual-clock
-// invariants. The native reference runs, plus one native index search,
-// must also match their lines in the golden file: the other cells only
-// compare runs with each other, so a kernel that lost a Tick would pass
-// them. Regenerate the file with `go test -run TestConformanceMatrix
+// invariants. The native reference runs, plus one native index search and
+// one native checksum, must also match their lines in the golden file: the
+// other cells only compare runs with each other, so a kernel that lost a
+// Tick would pass them. Regenerate the file with `go test -run TestConformanceMatrix
 // -update .` (not -short) after an intended change to a kernel's cost.
 func TestConformanceMatrix(t *testing.T) {
 	runs, err := conformance.RunMatrix(matrixApps(t), t.Logf)
@@ -61,7 +61,11 @@ func TestConformanceMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkNativeGolden(t, append(runs, is))
+	ck, err := conformance.NativeChecksum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNativeGolden(t, append(runs, is, ck))
 }
 
 // checkNativeGolden compares each run with its golden line, or rewrites the
@@ -72,7 +76,7 @@ func checkNativeGolden(t *testing.T, runs []conformance.NativeRun) {
 		return fmt.Sprintf("%s %v %d %d", r.App, r.Digest, r.Clock.Nanoseconds(), r.DPU.Nanoseconds())
 	}
 	if *update {
-		if len(runs) != len(prim.Apps())+1 {
+		if len(runs) != len(prim.Apps())+2 {
 			t.Fatalf("-update needs every app; run it without -short and -race")
 		}
 		var b strings.Builder

@@ -36,9 +36,12 @@ func countZerosKernel() *vpim.Kernel {
 	}
 }
 
-// countZerosTasklet is the DPU-side main, run once per tasklet. Keep a
-// kernel body a named function like this one: Go compiles a closure
-// returned by an inlined constructor without inlining the calls in it.
+// countZerosTasklet is the DPU-side main, run once per tasklet: the one way
+// to write a kernel. Its body is a named function (Go compiles a closure
+// returned by an inlined constructor without inlining the calls in it). It
+// takes its share of the partition's words with Partition, reads them into
+// a []uint32 WRAM buffer one 2 KiB block at a time, and charges Tick once
+// per block: the per-word work is plain slice indexing.
 func countZerosTasklet(ctx *vpim.KernelCtx) error {
 	if ctx.Me() == 0 {
 		ctx.ResetHeap()
@@ -48,24 +51,23 @@ func countZerosTasklet(ctx *vpim.KernelCtx) error {
 	if err != nil {
 		return err
 	}
-	per := int(partBytes) / ctx.NumTasklets()
-	buf, err := ctx.Alloc(2048)
+	buf, err := ctx.AllocU32(512)
 	if err != nil {
 		return err
 	}
-	base := int64(ctx.Me() * per)
+	start, end := ctx.Partition(int(partBytes) / 4)
 	var count uint64
-	for off := 0; off < per; off += len(buf) {
-		n := min(len(buf), per-off)
-		if err := ctx.MRAMRead(base+int64(off), buf[:n]); err != nil {
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(int64(off)*4, w); err != nil {
 			return err
 		}
-		for i := 0; i+4 <= n; i += 4 {
-			if binary.LittleEndian.Uint32(buf[i:]) == 0 {
+		for _, v := range w {
+			if v == 0 {
 				count++
 			}
 		}
-		ctx.Tick(int64(n))
+		ctx.Tick(int64(len(w)) * 4)
 	}
 	return ctx.AddHostU64("zero_count", count)
 }

@@ -174,9 +174,23 @@ func nativeRun(name string, env *native.Env, dg Digest) NativeRun {
 
 // NativeIndexSearch runs the Wikipedia index search natively on a fresh
 // conformance machine over a test-sized corpus. No conformance cell runs
-// the upmem kernels; BENCH_fig13.json pins checksum, and this run covers
-// the other one.
+// the upmem kernels, so this run and NativeChecksum pin them.
 func NativeIndexSearch() (NativeRun, error) {
+	p := upmem.IndexSearchParams{DPUs: confSetDPUs, Docs: 200, TermsPerDoc: 60, Queries: 64, BatchSize: 32}
+	return nativeUpmem("IndexSearch", func(env sdk.Env) error { return upmem.RunIndexSearch(env, p) })
+}
+
+// NativeChecksum runs the checksum microbenchmark natively on a fresh
+// conformance machine. Its file is 1 MiB + 24 bytes per DPU, so neither
+// the tasklet shares nor their 2 KiB blocks divide it evenly.
+func NativeChecksum() (NativeRun, error) {
+	p := upmem.ChecksumParams{DPUs: confSetDPUs, BytesPerDPU: 1<<20 + 24}
+	return nativeUpmem("Checksum", func(env sdk.Env) error { return upmem.RunChecksum(env, p) })
+}
+
+// nativeUpmem runs one upmem microbenchmark natively on a fresh conformance
+// machine.
+func nativeUpmem(name string, run func(sdk.Env) error) (NativeRun, error) {
 	mach, mgr, err := newMachine()
 	if err != nil {
 		return NativeRun{}, err
@@ -186,11 +200,10 @@ func NativeIndexSearch() (NativeRun, error) {
 	}
 	env := native.NewEnv(mach, mgr, 1<<30)
 	d := newDigester()
-	p := upmem.IndexSearchParams{DPUs: confSetDPUs, Docs: 200, TermsPerDoc: 60, Queries: 64, BatchSize: 32}
-	if err := upmem.RunIndexSearch(&digestEnv{Env: env, d: d}, p); err != nil {
+	if err := run(&digestEnv{Env: env, d: d}); err != nil {
 		return NativeRun{}, err
 	}
-	return nativeRun("IndexSearch", env, d.digest()), nil
+	return nativeRun(name, env, d.digest()), nil
 }
 
 // RunCell runs one PrIM application (by short name) on a fresh conformance

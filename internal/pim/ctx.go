@@ -89,8 +89,8 @@ func (c *Ctx) Tick(n int64) {
 }
 
 // Alloc reserves n bytes of WRAM (the mem_alloc heap shared by all
-// tasklets). It fails with ErrWRAMOverflow when the 64 KB bank is exhausted,
-// exactly like the real allocator.
+// tasklets), 8-byte aligned. It fails with ErrWRAMOverflow when the 64 KB
+// bank is exhausted, exactly like the real allocator.
 func (c *Ctx) Alloc(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("pim: negative WRAM allocation %d", n)
@@ -99,7 +99,7 @@ func (c *Ctx) Alloc(n int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: used %d, requested %d", ErrWRAMOverflow, c.st.wramUsed, n)
 	}
 	c.st.wramUsed += n
-	return make([]byte, n), nil
+	return wram(n), nil
 }
 
 // ResetHeap resets the WRAM allocator (mem_reset). Kernels conventionally
@@ -127,9 +127,21 @@ func (c *Ctx) Shared(name string, n int) ([]byte, error) {
 	if c.st.shared == nil {
 		c.st.shared = make(map[string][]byte)
 	}
-	buf := make([]byte, n)
+	buf := wram(n)
 	c.st.shared[name] = buf
 	return buf, nil
+}
+
+// Partition returns this tasklet's share [start, end) of n elements: the
+// elements split into NumTasklets shares of ceil(n/NumTasklets) elements,
+// rounded up to an even count, in tasklet order. The last shares are short
+// or empty. The even count starts every share of 4-byte words on the 8-byte
+// grain of a DMA.
+func (c *Ctx) Partition(n int) (start, end int) {
+	nt := c.NumTasklets()
+	per := ((n+nt-1)/nt + 1) &^ 1
+	start = min(c.id*per, n)
+	return start, min(start+per, n)
 }
 
 // checkDMA validates an MRAM DMA transfer.
@@ -243,14 +255,4 @@ func (c *Ctx) AddHostU64(name string, v uint64) error {
 		return err
 	}
 	return c.SetHostU64(name, cur+v)
-}
-
-// HostBytes reads len(dst) bytes of host symbol name at offset off.
-func (c *Ctx) HostBytes(name string, off int, dst []byte) error {
-	return c.st.rank.SymbolRead(c.st.dpu, name, off, dst)
-}
-
-// SetHostBytes writes src into host symbol name at offset off.
-func (c *Ctx) SetHostBytes(name string, off int, src []byte) error {
-	return c.st.rank.SymbolWrite(c.st.dpu, name, off, src)
 }

@@ -78,17 +78,16 @@ func runBFSKernel(ctx *pim.Ctx) error {
 	if err != nil {
 		return err
 	}
-	bmBytes := words * 8
 
 	// The visited and next-frontier bitmaps stay WRAM-resident for
 	// the launch (random access per neighbor); only the DPU's own
 	// slice of the frontier is needed, loaded with 8-byte slack for
-	// alignment.
-	vis, err := ctx.Shared("bfs_vis", bmBytes)
+	// alignment. Bit v of a bitmap is bit v%64 of its word v/64.
+	vis, err := ctx.SharedU64("bfs_vis", words)
 	if err != nil {
 		return err
 	}
-	next, err := ctx.Shared("bfs_next", bmBytes)
+	next, err := ctx.SharedU64("bfs_next", words)
 	if err != nil {
 		return err
 	}
@@ -96,76 +95,53 @@ func runBFSKernel(ctx *pim.Ctx) error {
 	frontAligned := frontStart &^ 7
 	frontSlack := frontStart - frontAligned
 	ownBytes := (verts + 7) / 8
-	frontLen := (frontSlack + ownBytes + 7) &^ 7
-	front, err := ctx.Shared("bfs_front", frontLen)
+	front, err := ctx.SharedU64("bfs_front", (frontSlack+ownBytes+7)/8)
 	if err != nil {
 		return err
 	}
 	if ctx.Me() == 0 {
-		for off := 0; off < bmBytes; off += 2048 {
-			cnt := bmBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(int64(visOff)+int64(off), vis[off:off+cnt]); err != nil {
-				return err
-			}
+		if err := ctx.ReadU64(int64(visOff), vis); err != nil {
+			return err
 		}
-		for off := 0; off < frontLen; off += 2048 {
-			cnt := frontLen - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(int64(frontOff)+int64(frontAligned)+int64(off), front[off:off+cnt]); err != nil {
-				return err
-			}
+		if err := ctx.ReadU64(int64(frontOff)+int64(frontAligned), front); err != nil {
+			return err
 		}
 		clear(next)
 	}
 	ctx.Barrier()
 
-	ownBit := func(v int) bool {
-		// v is DPU-local; the slice was loaded from frontAligned.
-		idx := frontSlack*8 + v
-		return front[idx/8]&(1<<(uint(idx)%8)) != 0
-	}
-	bit := func(bm []byte, v int) bool { return bm[v/8]&(1<<(uint(v)%8)) != 0 }
+	bit := func(bm []uint64, v int) bool { return bm[v/64]&(1<<(uint(v)%64)) != 0 }
 
-	rp, err := ctx.Alloc(16)
+	rp, err := ctx.AllocU32(4)
 	if err != nil {
 		return err
 	}
-	nbr, err := ctx.Alloc(512)
+	nbr, err := ctx.AllocU32(128)
 	if err != nil {
 		return err
 	}
 	nt := ctx.NumTasklets()
 	for v := ctx.Me(); v < verts; v += nt {
-		if !ownBit(v) {
+		// v is DPU-local; the frontier slice was loaded from frontAligned.
+		if !bit(front, frontSlack*8+v) {
 			continue
 		}
-		rpBase := int64(v&^1) * 4
-		if err := ctx.MRAMRead(rpBase, rp); err != nil {
+		if err := ctx.ReadU32(int64(v&^1)*4, rp); err != nil {
 			return err
 		}
 		idx := v & 1
-		lo := int(u32At(rp, idx))
-		hi := int(u32At(rp, idx+1))
+		lo, hi := int(rp[idx]), int(rp[idx+1])
 		for pos := lo; pos < hi; {
-			cnt := hi - pos
-			if cnt > 126 {
-				cnt = 126
-			}
+			cnt := min(hi-pos, 126)
 			shift := pos & 1
 			n := (cnt + shift + 1) &^ 1
-			if err := ctx.MRAMRead(int64(colOff)+int64(pos&^1)*4, nbr[:n*4]); err != nil {
+			if err := ctx.ReadU32(int64(colOff)+int64(pos&^1)*4, nbr[:n]); err != nil {
 				return err
 			}
-			for i := 0; i < cnt; i++ {
-				w := int(u32At(nbr, i+shift))
-				if !bit(vis, w) {
+			for _, w := range nbr[shift : shift+cnt] {
+				if !bit(vis, int(w)) {
 					ctx.Lock()
-					next[w/8] |= 1 << (uint(w) % 8)
+					next[w/64] |= 1 << (w % 64)
 					ctx.Unlock()
 				}
 			}
@@ -175,15 +151,7 @@ func runBFSKernel(ctx *pim.Ctx) error {
 	}
 	ctx.Barrier()
 	if ctx.Me() == 0 {
-		for off := 0; off < bmBytes; off += 2048 {
-			cnt := bmBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMWrite(next[off:off+cnt], int64(nextOff)+int64(off)); err != nil {
-				return err
-			}
-		}
+		return ctx.WriteU64(next, int64(nextOff))
 	}
 	return nil
 }

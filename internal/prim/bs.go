@@ -49,47 +49,34 @@ func runBSKernel(ctx *pim.Ctx) error {
 	n, q := int(n32), int(q32)
 	nBytes := int64(n) * 4
 	qBytes := int64(q) * 4
-	qBuf, err := ctx.Alloc(1024)
+	qBuf, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	probe, err := ctx.Alloc(8)
+	probe, err := ctx.AllocU32(2)
 	if err != nil {
 		return err
 	}
-	out, err := ctx.Alloc(8)
+	out, err := ctx.AllocU32(2)
 	if err != nil {
 		return err
 	}
-	nt := ctx.NumTasklets()
-	perQ := padTo((q+nt-1)/nt, 2)
-	start := ctx.Me() * perQ
-	end := start + perQ
-	if end > q {
-		end = q
-	}
-	if start > q {
-		start = q
-	}
-	for qoff := start; qoff < end; qoff += 256 {
-		cnt := 256
-		if end-qoff < cnt {
-			cnt = end - qoff
-		}
-		if err := ctx.MRAMRead(nBytes+int64(qoff)*4, qBuf[:cnt*4]); err != nil {
+	start, end := ctx.Partition(q)
+	for qoff := start; qoff < end; qoff += len(qBuf) {
+		w := qBuf[:min(len(qBuf), end-qoff)]
+		if err := ctx.ReadU32(nBytes+int64(qoff)*4, w); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			target := u32At(qBuf, i)
+		for i, target := range w {
 			lo, hi := 0, n-1
 			res := uint32(bsMiss)
 			for lo <= hi {
 				mid := (lo + hi) / 2
 				// Each probe is one aligned 8-byte MRAM read.
-				if err := ctx.MRAMRead(int64(mid&^1)*4, probe); err != nil {
+				if err := ctx.ReadU32(int64(mid&^1)*4, probe); err != nil {
 					return err
 				}
-				v := u32At(probe, mid&1)
+				v := probe[mid&1]
 				switch {
 				case v == target:
 					res = uint32(mid)
@@ -101,9 +88,8 @@ func runBSKernel(ctx *pim.Ctx) error {
 				}
 				ctx.Tick(8)
 			}
-			putU32At(out, 0, res)
-			putU32At(out, 1, 0)
-			if err := ctx.MRAMWrite(out, nBytes+qBytes+int64(qoff+i)*8); err != nil {
+			out[0], out[1] = res, 0
+			if err := ctx.WriteU32(out, nBytes+qBytes+int64(qoff+i)*8); err != nil {
 				return err
 			}
 		}

@@ -45,51 +45,44 @@ func runGEMVKernel(ctx *pim.Ctx) error {
 		return err
 	}
 	rows, cols := int(rows32), int(cols32)
-	rowBytes := cols * 4
-	matBytes := int64(rows) * int64(rowBytes)
+	rowBytes := int64(cols) * 4
+	matBytes := int64(rows) * rowBytes
 
 	// All tasklets share the input vector in WRAM; tasklet 0 loads it.
-	x, err := ctx.Shared("gemv_x", rowBytes)
+	x, err := ctx.SharedU32("gemv_x", cols)
 	if err != nil {
 		return err
 	}
 	if ctx.Me() == 0 {
-		for off := 0; off < rowBytes; off += 2048 {
-			cnt := rowBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(matBytes+int64(off), x[off:off+cnt]); err != nil {
-				return err
-			}
+		if err := ctx.ReadU32(matBytes, x); err != nil {
+			return err
 		}
 	}
 	ctx.Barrier()
 
-	rowBuf, err := ctx.Alloc(rowBytes)
+	rowBuf, err := ctx.AllocU32(cols)
 	if err != nil {
 		return err
 	}
-	yBuf, err := ctx.Alloc(8)
+	yBuf, err := ctx.AllocU32(2)
 	if err != nil {
 		return err
 	}
 	nt := ctx.NumTasklets()
 	for row := ctx.Me(); row < rows; row += nt {
-		if err := ctx.MRAMRead(int64(row)*int64(rowBytes), rowBuf); err != nil {
+		if err := ctx.ReadU32(int64(row)*rowBytes, rowBuf); err != nil {
 			return err
 		}
 		var acc uint32
-		for c := 0; c < cols; c++ {
-			acc += u32At(rowBuf, c) * u32At(x, c)
+		for c, m := range rowBuf {
+			acc += m * x[c]
 		}
 		ctx.Tick(int64(cols) * 4)
 		// y elements are 4 bytes but DMA needs 8-byte grain: rows are
 		// processed in pairs by parity so adjacent tasklets never share a
 		// word. Write each y value into an 8-byte aligned slot.
-		putU32At(yBuf, 0, acc)
-		putU32At(yBuf, 1, 0)
-		if err := ctx.MRAMWrite(yBuf, matBytes+int64(rowBytes)+int64(row)*8); err != nil {
+		yBuf[0], yBuf[1] = acc, 0
+		if err := ctx.WriteU32(yBuf, matBytes+rowBytes+int64(row)*8); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package prim
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -47,7 +48,7 @@ func TestU32U64Helpers(t *testing.T) {
 	if u32At(buf, 1) != 0xDEADBEEF {
 		t.Error("u32 round trip")
 	}
-	putU64At(buf, 1, 0xCAFEBABE12345678)
+	binary.LittleEndian.PutUint64(buf[8:], 0xCAFEBABE12345678)
 	if u64At(buf, 1) != 0xCAFEBABE12345678 {
 		t.Error("u64 round trip")
 	}

@@ -43,54 +43,40 @@ func runHSTKernel(ctx *pim.Ctx, bins int, private bool) error {
 		return err
 	}
 	n := int(n32)
-	nBytes := int64(n) * 4
-	nt := ctx.NumTasklets()
 	shift := uint(hstDepth) - uint(log2(bins))
 
-	var local []byte
+	var local []uint32
 	if private {
-		if local, err = ctx.Alloc(4 * bins); err != nil {
+		if local, err = ctx.AllocU32(bins); err != nil {
 			return err
 		}
 	} else {
-		if local, err = ctx.Shared("hst_hist", 4*bins); err != nil {
+		if local, err = ctx.SharedU32("hst_hist", bins); err != nil {
 			return err
 		}
 	}
-	buf, err := ctx.Alloc(1024)
+	buf, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	per := padTo((n+nt-1)/nt, 2)
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
-	}
-	if start > n {
-		start = n
-	}
-	for off := start; off < end; off += 256 {
-		cnt := 256
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+	start, end := ctx.Partition(n)
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(int64(off)*4, w); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			bin := int(u32At(buf, i) >> shift)
+		for _, v := range w {
 			if private {
-				putU32At(local, bin, u32At(local, bin)+1)
+				local[v>>shift]++
 			} else {
 				ctx.Lock()
-				putU32At(local, bin, u32At(local, bin)+1)
+				local[v>>shift]++
 				ctx.Unlock()
 			}
 		}
-		ticks := int64(cnt) * 6
+		ticks := int64(len(w)) * 6
 		if !private {
-			ticks += int64(cnt) * 4 // mutex acquire/release
+			ticks += int64(len(w)) * 4 // mutex acquire/release
 		}
 		ctx.Tick(ticks)
 	}
@@ -98,30 +84,22 @@ func runHSTKernel(ctx *pim.Ctx, bins int, private bool) error {
 
 	if private {
 		// Merge private histograms into the shared final one.
-		final, err := ctx.Shared("hst_final", 4*bins)
+		final, err := ctx.SharedU32("hst_final", bins)
 		if err != nil {
 			return err
 		}
 		ctx.Lock()
-		for b := 0; b < bins; b++ {
-			putU32At(final, b, u32At(final, b)+u32At(local, b))
+		for b, c := range local {
+			final[b] += c
 		}
 		ctx.Unlock()
 		ctx.Tick(int64(bins) * 4)
 		ctx.Barrier()
 		local = final
 	}
-	// Tasklet 0 stores the DPU histogram after MRAM-aligned chunks.
+	// Tasklet 0 stores the DPU histogram after the input.
 	if ctx.Me() == 0 {
-		for off := 0; off < 4*bins; off += 2048 {
-			cnt := 4*bins - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMWrite(local[off:off+cnt], nBytes+int64(off)); err != nil {
-				return err
-			}
-		}
+		return ctx.WriteU32(local, int64(n)*4)
 	}
 	return nil
 }

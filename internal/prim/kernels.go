@@ -5,9 +5,9 @@ import "repro/internal/pim"
 // Kernels returns every DPU binary of the suite. Each kernel's Run is a
 // named function, or a one-line closure that passes its constructor's
 // arguments to one: Go inlines every constructor here, and compiles a
-// closure literal cloned that way without inlining the per-word helpers it
-// calls (u32At, Ctx.Tick). CI's "Kernel helpers are inlined" step checks
-// the machine code.
+// closure literal cloned that way without inlining the calls in it
+// (Ctx.Me, Ctx.Tick, Ctx.Partition). CI's "Kernel helpers are inlined"
+// step checks the machine code.
 func Kernels() []*pim.Kernel {
 	return []*pim.Kernel{
 		vaKernel(),

@@ -64,49 +64,40 @@ func runMLPKernel(ctx *pim.Ctx) error {
 	if err != nil {
 		return err
 	}
-	rowBytes := int(cols) * 4
+	n := int(cols)
 
-	x, err := ctx.Shared("mlp_x", rowBytes)
+	x, err := ctx.SharedU32("mlp_x", n)
 	if err != nil {
 		return err
 	}
 	if ctx.Me() == 0 {
-		for off := 0; off < rowBytes; off += 2048 {
-			cnt := rowBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(int64(xoff)+int64(off), x[off:off+cnt]); err != nil {
-				return err
-			}
+		if err := ctx.ReadU32(int64(xoff), x); err != nil {
+			return err
 		}
 	}
 	ctx.Barrier()
 
 	// Rows are streamed through a 2 KB WRAM buffer: a full row of a
 	// wide layer would not fit 16 tasklets into the 64 KB bank.
-	rowBuf, err := ctx.Alloc(2048)
+	rowBuf, err := ctx.AllocU32(512)
 	if err != nil {
 		return err
 	}
-	yBuf, err := ctx.Alloc(8)
+	yBuf, err := ctx.AllocU32(2)
 	if err != nil {
 		return err
 	}
 	nt := ctx.NumTasklets()
 	for row := ctx.Me(); row < int(rows); row += nt {
-		base := int64(woff) + int64(row)*int64(rowBytes)
+		base := int64(woff) + int64(row)*int64(n)*4
 		var acc int64
-		for off := 0; off < rowBytes; off += 2048 {
-			cnt := rowBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(base+int64(off), rowBuf[:cnt]); err != nil {
+		for off := 0; off < n; off += len(rowBuf) {
+			w := rowBuf[:min(len(rowBuf), n-off)]
+			if err := ctx.ReadU32(base+int64(off)*4, w); err != nil {
 				return err
 			}
-			for c := 0; c < cnt/4; c++ {
-				acc += int64(int32(u32At(rowBuf, c))) * int64(int32(u32At(x, off/4+c)))
+			for c, v := range w {
+				acc += int64(int32(v)) * int64(int32(x[off+c]))
 			}
 		}
 		ctx.Tick(int64(cols) * 5)
@@ -115,9 +106,8 @@ func runMLPKernel(ctx *pim.Ctx) error {
 			acc = 0
 		}
 		acc >>= mlpShift
-		putU32At(yBuf, 0, uint32(int32(acc)))
-		putU32At(yBuf, 1, 0)
-		if err := ctx.MRAMWrite(yBuf, int64(yoff)+int64(row)*8); err != nil {
+		yBuf[0], yBuf[1] = uint32(int32(acc)), 0
+		if err := ctx.WriteU32(yBuf, int64(yoff)+int64(row)*8); err != nil {
 			return err
 		}
 	}

@@ -74,78 +74,61 @@ func runNWKernel(ctx *pim.Ctx) error {
 	if nBlocks == 0 {
 		return nil
 	}
-	slot, err := ctx.Alloc(nwInSlotBytes)
+	slot, err := ctx.AllocU32(nwInSlotBytes / 4)
 	if err != nil {
 		return err
 	}
-	out, err := ctx.Alloc(nwOutSlot)
+	out, err := ctx.AllocU32(nwOutSlot / 4)
 	if err != nil {
 		return err
 	}
-	hPrev, err := ctx.Alloc((nwBlock + 1) * 4)
+	hPrev, err := ctx.AllocU32(nwBlock + 1)
 	if err != nil {
 		return err
 	}
-	hCur, err := ctx.Alloc((nwBlock + 1) * 4)
+	hCur, err := ctx.AllocU32(nwBlock + 1)
 	if err != nil {
 		return err
 	}
+	const seqW, edgeW = nwSeqBytes / 4, nwEdgeBytes / 4
+	seqA, seqB := slot[:seqW], slot[seqW:2*seqW]
+	top, left := slot[2*seqW:2*seqW+edgeW], slot[2*seqW+edgeW:]
+	outB, outR := out[:edgeW], out[edgeW:]
 	nt := ctx.NumTasklets()
 	for s := ctx.Me(); s < nBlocks; s += nt {
-		base := int64(s) * nwInSlotBytes
-		for off := 0; off < nwInSlotBytes; off += 2048 {
-			cnt := nwInSlotBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(base+int64(off), slot[off:off+cnt]); err != nil {
-				return err
-			}
+		if err := ctx.ReadU32(int64(s)*nwInSlotBytes, slot); err != nil {
+			return err
 		}
-		seqA := slot[0:nwSeqBytes]
-		seqB := slot[nwSeqBytes : 2*nwSeqBytes]
-		top := slot[2*nwSeqBytes : 2*nwSeqBytes+nwEdgeBytes]
-		left := slot[2*nwSeqBytes+nwEdgeBytes : 2*nwSeqBytes+2*nwEdgeBytes]
-		outB := out[0:nwEdgeBytes]
-		outR := out[nwEdgeBytes : 2*nwEdgeBytes]
 
 		// hPrev = top boundary (corner + row, B+1 values).
-		copy(hPrev[:(nwBlock+1)*4], top[:(nwBlock+1)*4])
+		copy(hPrev, top)
 		for r := 0; r < nwBlock; r++ {
-			a := int32(u32At(seqA, r))
-			putU32At(hCur, 0, u32At(left, r+1))
+			a := int32(seqA[r])
+			hCur[0] = left[r+1]
 			for c := 0; c < nwBlock; c++ {
-				b := int32(u32At(seqB, c))
 				sc := int32(nwMismatch)
-				if a == b {
+				if a == int32(seqB[c]) {
 					sc = nwMatch
 				}
-				best := int32(u32At(hPrev, c)) + sc
-				if v := int32(u32At(hPrev, c+1)) + nwGap; v > best {
+				best := int32(hPrev[c]) + sc
+				if v := int32(hPrev[c+1]) + nwGap; v > best {
 					best = v
 				}
-				if v := int32(u32At(hCur, c)) + nwGap; v > best {
+				if v := int32(hCur[c]) + nwGap; v > best {
 					best = v
 				}
-				putU32At(hCur, c+1, uint32(best))
+				hCur[c+1] = uint32(best)
 			}
 			ctx.Tick(int64(nwBlock) * 10)
-			putU32At(outR, r+1, u32At(hCur, nwBlock))
+			outR[r+1] = hCur[nwBlock]
 			hPrev, hCur = hCur, hPrev
 		}
-		putU32At(outB, 0, u32At(left, nwBlock))
-		copy(outB[4:(nwBlock+1)*4], hPrev[4:(nwBlock+1)*4])
-		putU32At(outR, 0, u32At(top, nwBlock))
+		outB[0] = left[nwBlock]
+		copy(outB[1:], hPrev[1:])
+		outR[0] = top[nwBlock]
 
-		dst := outOff + int64(s)*nwOutSlot
-		for off := 0; off < nwOutSlot; off += 2048 {
-			cnt := nwOutSlot - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMWrite(out[off:off+cnt], dst+int64(off)); err != nil {
-				return err
-			}
+		if err := ctx.WriteU32(out, outOff+int64(s)*nwOutSlot); err != nil {
+			return err
 		}
 	}
 	return nil

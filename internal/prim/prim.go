@@ -215,9 +215,6 @@ func putU32At(b []byte, i int, v uint32) { binary.LittleEndian.PutUint32(b[4*i:]
 // u64At reads the i-th uint64 of a byte slice.
 func u64At(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
 
-// putU64At writes the i-th uint64 of a byte slice.
-func putU64At(b []byte, i int, v uint64) { binary.LittleEndian.PutUint64(b[8*i:], v) }
-
 // padTo rounds n up to a multiple of align.
 func padTo(n, align int) int { return (n + align - 1) / align * align }
 

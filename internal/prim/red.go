@@ -49,34 +49,34 @@ func runREDKernel(ctx *pim.Ctx) error {
 	if err != nil {
 		return err
 	}
-	n := int(n32)
-	per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
-	buf, err := ctx.Alloc(2048)
+	buf, err := ctx.AllocU32(512)
 	if err != nil {
 		return err
 	}
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
+	start, end := ctx.Partition(int(n32))
+	sum, err := sumWords(ctx, buf, start, end)
+	if err != nil {
+		return err
 	}
+	return ctx.WriteU64([]uint64{sum}, int64(resOff)+int64(ctx.Me())*8)
+}
+
+// sumWords sums the input words [start, end), which start at MRAM offset
+// 0, reading them into buf block by block at four instructions a word: the
+// reduction of RED and of both scans' first pass.
+func sumWords(ctx *pim.Ctx, buf []uint32, start, end int) (uint64, error) {
 	var sum uint64
-	for off := start; off < end; off += 512 {
-		cnt := 512
-		if end-off < cnt {
-			cnt = end - off
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(int64(off)*4, w); err != nil {
+			return 0, err
 		}
-		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-			return err
+		for _, v := range w {
+			sum += uint64(v)
 		}
-		for i := 0; i < cnt; i++ {
-			sum += uint64(u32At(buf, i))
-		}
-		ctx.Tick(int64(cnt) * 4)
+		ctx.Tick(int64(len(w)) * 4)
 	}
-	var out [8]byte
-	putU64At(out[:], 0, sum)
-	return ctx.MRAMWrite(out[:], int64(resOff)+int64(ctx.Me())*8)
+	return sum, nil
 }
 
 // redData is RED's prepared dataset: the input and its CPU sum.

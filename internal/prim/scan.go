@@ -51,81 +51,60 @@ func runLocalScan(ctx *pim.Ctx) error {
 	n := int(n32)
 	nBytes := int64(n) * 4
 	nt := ctx.NumTasklets()
-	per := padTo((n+nt-1)/nt, 2)
-	table, err := ctx.Shared("scan_partials", 8*nt)
+	table, err := ctx.SharedU64("scan_partials", nt)
 	if err != nil {
 		return err
 	}
-	buf, err := ctx.Alloc(1024)
+	buf, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
-	}
-	if start > n {
-		start = n
-	}
+	start, end := ctx.Partition(n)
 
 	// Step 1: block sum.
-	var sum uint64
-	for off := start; off < end; off += 256 {
-		cnt := 256
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-			return err
-		}
-		for i := 0; i < cnt; i++ {
-			sum += uint64(u32At(buf, i))
-		}
-		ctx.Tick(int64(cnt) * 4)
+	if table[ctx.Me()], err = sumWords(ctx, buf, start, end); err != nil {
+		return err
 	}
-	putU64At(table, ctx.Me(), sum)
 	ctx.Barrier()
 
 	// Step 2: exclusive prefix of the partial table (each tasklet derives
 	// its own base; cheap, nt is tiny).
-	var base uint64
-	for t := 0; t < ctx.Me(); t++ {
-		base += u64At(table, t)
+	var running uint64
+	for _, s := range table[:ctx.Me()] {
+		running += s
 	}
 	ctx.Tick(int64(ctx.Me()) * 3)
 
 	// Step 3: rescan with base, writing the inclusive scan to the output.
-	running := base
-	for off := start; off < end; off += 256 {
-		cnt := 256
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(int64(off)*4, w); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			running += uint64(u32At(buf, i))
-			putU32At(buf, i, uint32(running))
+		for i, v := range w {
+			running += uint64(v)
+			w[i] = uint32(running)
 		}
-		ctx.Tick(int64(cnt) * 7)
-		if err := ctx.MRAMWrite(buf[:cnt*4], nBytes+int64(off)*4); err != nil {
+		ctx.Tick(int64(len(w)) * 7)
+		if err := ctx.WriteU32(w, nBytes+int64(off)*4); err != nil {
 			return err
 		}
 	}
 
 	// The last tasklet's final running value is the chunk total.
 	if ctx.Me() == nt-1 {
-		var out [8]byte
-		var total uint64
-		for t := 0; t < nt; t++ {
-			total += u64At(table, t)
-		}
-		putU64At(out[:], 0, total)
-		return ctx.MRAMWrite(out[:], 2*nBytes)
+		return ctx.WriteU64([]uint64{sumTable(table)}, 2*nBytes)
 	}
 	return nil
+}
+
+// sumTable sums the tasklets' partials.
+func sumTable(table []uint64) uint64 {
+	var total uint64
+	for _, s := range table {
+		total += s
+	}
+	return total
 }
 
 // scanAddKernel adds the per-DPU base (scan_base symbol) to every output
@@ -159,31 +138,28 @@ func runScanAddKernel(ctx *pim.Ctx) error {
 	if base == 0 {
 		return nil
 	}
-	n := int(n32)
+	return addBase(ctx, int(n32), base)
+}
+
+// addBase adds base to every word of this tasklet's share of the n-word
+// output region, which starts at MRAM offset 4n.
+func addBase(ctx *pim.Ctx, n int, base uint32) error {
 	nBytes := int64(n) * 4
-	per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
-	buf, err := ctx.Alloc(1024)
+	buf, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
-	}
-	for off := start; off < end; off += 256 {
-		cnt := 256
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(nBytes+int64(off)*4, buf[:cnt*4]); err != nil {
+	start, end := ctx.Partition(n)
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(nBytes+int64(off)*4, w); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			putU32At(buf, i, u32At(buf, i)+base)
+		for i := range w {
+			w[i] += base
 		}
-		ctx.Tick(int64(cnt) * 5)
-		if err := ctx.MRAMWrite(buf[:cnt*4], nBytes+int64(off)*4); err != nil {
+		ctx.Tick(int64(len(w)) * 5)
+		if err := ctx.WriteU32(w, nBytes+int64(off)*4); err != nil {
 			return err
 		}
 	}
@@ -212,47 +188,21 @@ func runScanReduceKernel(ctx *pim.Ctx) error {
 	}
 	n := int(n32)
 	nt := ctx.NumTasklets()
-	per := padTo((n+nt-1)/nt, 2)
-	table, err := ctx.Shared("scan_partials", 8*nt)
+	table, err := ctx.SharedU64("scan_partials", nt)
 	if err != nil {
 		return err
 	}
-	buf, err := ctx.Alloc(2048)
+	buf, err := ctx.AllocU32(512)
 	if err != nil {
 		return err
 	}
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
+	start, end := ctx.Partition(n)
+	if table[ctx.Me()], err = sumWords(ctx, buf, start, end); err != nil {
+		return err
 	}
-	if start > n {
-		start = n
-	}
-	var sum uint64
-	for off := start; off < end; off += 512 {
-		cnt := 512
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
-			return err
-		}
-		for i := 0; i < cnt; i++ {
-			sum += uint64(u32At(buf, i))
-		}
-		ctx.Tick(int64(cnt) * 4)
-	}
-	putU64At(table, ctx.Me(), sum)
 	ctx.Barrier()
 	if ctx.Me() == nt-1 {
-		var total uint64
-		for t := 0; t < nt; t++ {
-			total += u64At(table, t)
-		}
-		var out [8]byte
-		putU64At(out[:], 0, total)
-		return ctx.MRAMWrite(out[:], 2*int64(n)*4)
+		return ctx.WriteU64([]uint64{sumTable(table)}, 2*int64(n)*4)
 	}
 	return nil
 }
@@ -289,35 +239,7 @@ func runScanRSSScanKernel(ctx *pim.Ctx) error {
 	if err != nil {
 		return err
 	}
-	n := int(n32)
-	nBytes := int64(n) * 4
-	per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
-	buf, err := ctx.Alloc(1024)
-	if err != nil {
-		return err
-	}
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
-	}
-	for off := start; off < end; off += 256 {
-		cnt := 256
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(nBytes+int64(off)*4, buf[:cnt*4]); err != nil {
-			return err
-		}
-		for i := 0; i < cnt; i++ {
-			putU32At(buf, i, u32At(buf, i)+base)
-		}
-		ctx.Tick(int64(cnt) * 5)
-		if err := ctx.MRAMWrite(buf[:cnt*4], nBytes+int64(off)*4); err != nil {
-			return err
-		}
-	}
-	return nil
+	return addBase(ctx, int(n32), base)
 }
 
 // RunSCANSSA executes the scan-scan-add prefix sum.

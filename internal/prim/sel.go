@@ -44,25 +44,17 @@ func runCompactKernel(ctx *pim.Ctx, unique bool) error {
 	n := int(n32)
 	nBytes := int64(n) * 4
 	nt := ctx.NumTasklets()
-	per := padTo((n+nt-1)/nt, 2)
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
-	}
-	if start > n {
-		start = n
-	}
+	start, end := ctx.Partition(n)
 
-	table, err := ctx.Shared("sel_counts", 4*nt)
+	table, err := ctx.SharedU32("sel_counts", nt)
 	if err != nil {
 		return err
 	}
-	buf, err := ctx.Alloc(1024)
+	buf, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	prev, err := ctx.Alloc(8)
+	prev, err := ctx.AllocU32(2)
 	if err != nil {
 		return err
 	}
@@ -80,50 +72,46 @@ func runCompactKernel(ctx *pim.Ctx, unique bool) error {
 	first := true
 	if unique && start > 0 && start < n {
 		// Peek at the predecessor for the boundary comparison.
-		if err := ctx.MRAMRead(int64(start-2)*4, prev); err != nil {
+		if err := ctx.ReadU32(int64(start-2)*4, prev); err != nil {
 			return err
 		}
-		prevV = u32At(prev, 1)
+		prevV = prev[1]
 		first = false
 	}
 	bPrevV, bFirst := prevV, first
-	for off := start; off < end; off += 256 {
-		cnt := 256
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(int64(off)*4, w); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			v := u32At(buf, i)
+		for _, v := range w {
 			if keep(v, prevV, first) {
 				count++
 			}
 			prevV = v
 			first = false
 		}
-		ctx.Tick(int64(cnt) * 5)
+		ctx.Tick(int64(len(w)) * 5)
 	}
-	putU32At(table, ctx.Me(), count)
+	table[ctx.Me()] = count
 	ctx.Barrier()
 
 	// Pass 2: compact at the exclusive prefix offset. Output
 	// positions are written one by one through an aligned 8-byte
 	// staging slot, the same grain a real DPU uses.
 	var base uint32
-	for t := 0; t < ctx.Me(); t++ {
-		base += u32At(table, t)
+	for _, c := range table[:ctx.Me()] {
+		base += c
 	}
 	ctx.Tick(int64(ctx.Me()) * 3)
 
-	out, err := ctx.Alloc(1024)
+	out, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
 	outPos := int(base)
 	outFill := 0
-	span, err := ctx.Alloc(1024 + 8)
+	span, err := ctx.AllocU32(256 + 2)
 	if err != nil {
 		return err
 	}
@@ -133,36 +121,19 @@ func runCompactKernel(ctx *pim.Ctx, unique bool) error {
 		}
 		// The compacted region starts at a 4-byte position, so the
 		// write is a read-modify-write over the covering aligned
-		// 8-byte grains; the DPU mutex protects the boundary words
-		// two tasklets may share.
+		// 8-byte grains, in 1 KB pieces; the DPU mutex protects the
+		// boundary words two tasklets may share.
 		ctx.Lock()
 		defer ctx.Unlock()
-		writeStart := int64(outPos-outFill) * 4
-		writeEnd := int64(outPos) * 4
-		alignedStart := writeStart &^ 7
-		alignedEnd := (writeEnd + 7) &^ 7
+		lo, hi := outPos-outFill, outPos
 		consumed := 0
-		for pos := alignedStart; pos < alignedEnd; pos += 1024 {
-			cnt := alignedEnd - pos
-			if cnt > 1024 {
-				cnt = 1024
-			}
-			if err := ctx.MRAMRead(nBytes+pos, span[:cnt]); err != nil {
+		for pos := lo &^ 1; pos < (hi+1)&^1; pos += 256 {
+			w := span[:min(256, (hi+1)&^1-pos)]
+			if err := ctx.ReadU32(nBytes+int64(pos)*4, w); err != nil {
 				return err
 			}
-			lo := writeStart - pos
-			if lo < 0 {
-				lo = 0
-			}
-			hi := cnt
-			if writeEnd-pos < hi {
-				hi = writeEnd - pos
-			}
-			for b := lo; b < hi; b += 4 {
-				putU32At(span, int(b)/4, u32At(out, consumed))
-				consumed++
-			}
-			if err := ctx.MRAMWrite(span[:cnt], nBytes+pos); err != nil {
+			consumed += copy(w[max(lo-pos, 0):min(hi-pos, len(w))], out[consumed:outFill])
+			if err := ctx.WriteU32(w, nBytes+int64(pos)*4); err != nil {
 				return err
 			}
 		}
@@ -170,21 +141,17 @@ func runCompactKernel(ctx *pim.Ctx, unique bool) error {
 		return nil
 	}
 	prevV, first = bPrevV, bFirst
-	for off := start; off < end; off += 256 {
-		cnt := 256
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(int64(off)*4, w); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			v := u32At(buf, i)
+		for _, v := range w {
 			if keep(v, prevV, first) {
-				putU32At(out, outFill, v)
+				out[outFill] = v
 				outFill++
 				outPos++
-				if outFill == 256 {
+				if outFill == len(out) {
 					if err := flush(); err != nil {
 						return err
 					}
@@ -193,7 +160,7 @@ func runCompactKernel(ctx *pim.Ctx, unique bool) error {
 			prevV = v
 			first = false
 		}
-		ctx.Tick(int64(cnt) * 7)
+		ctx.Tick(int64(len(w)) * 7)
 	}
 	if err := flush(); err != nil {
 		return err
@@ -202,8 +169,8 @@ func runCompactKernel(ctx *pim.Ctx, unique bool) error {
 
 	if ctx.Me() == nt-1 {
 		var total uint32
-		for t := 0; t < nt; t++ {
-			total += u32At(table, t)
+		for _, c := range table {
+			total += c
 		}
 		return ctx.SetHostU32("sel_count", total)
 	}

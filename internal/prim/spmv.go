@@ -62,36 +62,30 @@ func runSpMVKernel(ctx *pim.Ctx) error {
 
 	// The dense vector x lives in shared WRAM (PrIM keeps it
 	// resident; 16 KB at 4096 columns).
-	x, err := ctx.Shared("spmv_x", cols*4)
+	x, err := ctx.SharedU32("spmv_x", cols)
 	if err != nil {
 		return err
 	}
 	if ctx.Me() == 0 {
-		for off := 0; off < cols*4; off += 2048 {
-			cnt := cols*4 - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(xOff+int64(off), x[off:off+cnt]); err != nil {
-				return err
-			}
+		if err := ctx.ReadU32(xOff, x); err != nil {
+			return err
 		}
 	}
 	ctx.Barrier()
 
-	rp, err := ctx.Alloc(16)
+	rp, err := ctx.AllocU32(4)
 	if err != nil {
 		return err
 	}
-	nz, err := ctx.Alloc(1024)
+	nz, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	vals, err := ctx.Alloc(1024)
+	vals, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	yBuf, err := ctx.Alloc(8)
+	yBuf, err := ctx.AllocU32(2)
 	if err != nil {
 		return err
 	}
@@ -99,41 +93,32 @@ func runSpMVKernel(ctx *pim.Ctx) error {
 	for row := ctx.Me(); row < rows; row += nt {
 		// rowptr[row], rowptr[row+1]: one aligned 16-byte read
 		// covers both (slots are 4 bytes; read the aligned pair).
-		base := int64(row&^1) * 4
-		if err := ctx.MRAMRead(base, rp[:16]); err != nil {
+		if err := ctx.ReadU32(int64(row&^1)*4, rp); err != nil {
 			return err
 		}
 		idx := row & 1
-		lo := u32At(rp, idx)
-		hi := u32At(rp, idx+1)
+		lo, hi := int(rp[idx]), int(rp[idx+1])
 		var acc uint32
-		for pos := int(lo); pos < int(hi); {
-			cnt := int(hi) - pos
-			if cnt > 254 {
-				cnt = 254
-			}
+		for pos := lo; pos < hi; {
+			cnt := min(hi-pos, 254)
 			// colidx/value reads start 4-byte aligned at worst;
 			// align down to the 8-byte grain.
-			cOff := colOff + int64(pos&^1)*4
-			vOff := valOff + int64(pos&^1)*4
 			shift := pos & 1
 			n := (cnt + shift + 1) &^ 1
-			if err := ctx.MRAMRead(cOff, nz[:n*4]); err != nil {
+			if err := ctx.ReadU32(colOff+int64(pos&^1)*4, nz[:n]); err != nil {
 				return err
 			}
-			if err := ctx.MRAMRead(vOff, vals[:n*4]); err != nil {
+			if err := ctx.ReadU32(valOff+int64(pos&^1)*4, vals[:n]); err != nil {
 				return err
 			}
-			for i := 0; i < cnt; i++ {
-				c := u32At(nz, i+shift)
-				acc += u32At(vals, i+shift) * u32At(x, int(c))
+			for i, c := range nz[shift : shift+cnt] {
+				acc += vals[shift+i] * x[c]
 			}
 			ctx.Tick(int64(cnt) * 6)
 			pos += cnt
 		}
-		putU32At(yBuf, 0, acc)
-		putU32At(yBuf, 1, 0)
-		if err := ctx.MRAMWrite(yBuf, yOff+int64(row)*8); err != nil {
+		yBuf[0], yBuf[1] = acc, 0
+		if err := ctx.WriteU32(yBuf, yOff+int64(row)*8); err != nil {
 			return err
 		}
 	}

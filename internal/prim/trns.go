@@ -63,40 +63,28 @@ func runTRNSKernel(ctx *pim.Ctx) error {
 	if nTiles == 0 {
 		return nil
 	}
-	in, err := ctx.Alloc(trnsTileBytes)
+	in, err := ctx.AllocU32(trnsTileWords)
 	if err != nil {
 		return err
 	}
-	out, err := ctx.Alloc(trnsTileBytes)
+	out, err := ctx.AllocU32(trnsTileWords)
 	if err != nil {
 		return err
 	}
 	nt := ctx.NumTasklets()
 	for s := ctx.Me(); s < nTiles; s += nt {
 		base := int64(s) * trnsTileBytes
-		for off := 0; off < trnsTileBytes; off += 2048 {
-			cnt := trnsTileBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(base+int64(off), in[off:off+cnt]); err != nil {
-				return err
-			}
+		if err := ctx.ReadU32(base, in); err != nil {
+			return err
 		}
 		for rIdx := 0; rIdx < trnsTile; rIdx++ {
 			for c := 0; c < trnsTile; c++ {
-				putU32At(out, c*trnsTile+rIdx, u32At(in, rIdx*trnsTile+c))
+				out[c*trnsTile+rIdx] = in[rIdx*trnsTile+c]
 			}
 		}
 		ctx.Tick(int64(trnsTileWords) * 4)
-		for off := 0; off < trnsTileBytes; off += 2048 {
-			cnt := trnsTileBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMWrite(out[off:off+cnt], outOff+base+int64(off)); err != nil {
-				return err
-			}
+		if err := ctx.WriteU32(out, outOff+base); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -55,12 +55,12 @@ func runTSKernel(ctx *pim.Ctx) error {
 	n, m := int(n32), int(m32)
 	qOff := (int64(n+m-1)*4 + 7) &^ 7
 
-	query, err := ctx.Shared("ts_query", m*4)
+	query, err := ctx.SharedU32("ts_query", m)
 	if err != nil {
 		return err
 	}
 	if ctx.Me() == 0 {
-		if err := ctx.MRAMRead(qOff, query); err != nil {
+		if err := ctx.ReadU32(qOff, query); err != nil {
 			return err
 		}
 	}
@@ -68,44 +68,23 @@ func runTSKernel(ctx *pim.Ctx) error {
 
 	// Sliding window over this tasklet's range; the buffer holds
 	// the window plus lookahead, reloaded per block.
-	nt := ctx.NumTasklets()
-	per := padTo((n+nt-1)/nt, 2)
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
-	}
-	if start > n {
-		start = n
-	}
+	start, end := ctx.Partition(n)
 	const block = 128
-	buf, err := ctx.Alloc((block + tsQueryLen) * 4)
+	buf, err := ctx.AllocU32(block + tsQueryLen)
 	if err != nil {
 		return err
 	}
 	best := ^uint64(0)
 	bestIdx := uint64(0)
 	for off := start; off < end; off += block {
-		cnt := block
-		if end-off < cnt {
-			cnt = end - off
-		}
-		span := (cnt + m - 1) * 4
-		for boff := 0; boff < span; boff += 2048 {
-			c := span - boff
-			if c > 2048 {
-				c = 2048
-			}
-			if err := ctx.MRAMRead(int64(off)*4+int64(boff), buf[boff:boff+c]); err != nil {
-				return err
-			}
+		cnt := min(block, end-off)
+		if err := ctx.ReadU32(int64(off)*4, buf[:cnt+m-1]); err != nil {
+			return err
 		}
 		for w := 0; w < cnt; w++ {
 			var sad uint64
-			for j := 0; j < m; j++ {
-				a := int64(u32At(buf, w+j))
-				b := int64(u32At(query, j))
-				d := a - b
+			for j, q := range query {
+				d := int64(buf[w+j]) - int64(q)
 				if d < 0 {
 					d = -d
 				}

@@ -40,37 +40,29 @@ func runVAKernel(ctx *pim.Ctx) error {
 	}
 	n := int(n32)
 	nBytes := int64(n) * 4
-	per := padTo((n+ctx.NumTasklets()-1)/ctx.NumTasklets(), 2)
-	bufA, err := ctx.Alloc(1024)
+	bufA, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	bufB, err := ctx.Alloc(1024)
+	bufB, err := ctx.AllocU32(256)
 	if err != nil {
 		return err
 	}
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
-	}
-	for off := start; off < end; off += 256 {
-		cnt := 256
-		if end-off < cnt {
-			cnt = end - off
-		}
-		b := cnt * 4
-		if err := ctx.MRAMRead(int64(off)*4, bufA[:b]); err != nil {
+	start, end := ctx.Partition(n)
+	for off := start; off < end; off += len(bufA) {
+		a := bufA[:min(len(bufA), end-off)]
+		b := bufB[:len(a)]
+		if err := ctx.ReadU32(int64(off)*4, a); err != nil {
 			return err
 		}
-		if err := ctx.MRAMRead(nBytes+int64(off)*4, bufB[:b]); err != nil {
+		if err := ctx.ReadU32(nBytes+int64(off)*4, b); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			putU32At(bufA, i, u32At(bufA, i)+u32At(bufB, i))
+		for i := range a {
+			a[i] += b[i]
 		}
-		ctx.Tick(int64(cnt) * 6)
-		if err := ctx.MRAMWrite(bufA[:b], 2*nBytes+int64(off)*4); err != nil {
+		ctx.Tick(int64(len(a)) * 6)
+		if err := ctx.WriteU32(a, 2*nBytes+int64(off)*4); err != nil {
 			return err
 		}
 	}

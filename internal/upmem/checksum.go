@@ -49,48 +49,34 @@ func runChecksumKernel(ctx *pim.Ctx) error {
 		return err
 	}
 	n := int(n32) // words
-	nt := ctx.NumTasklets()
-	table, err := ctx.Shared("ck_partials", 8*nt)
+	table, err := ctx.SharedU64("ck_partials", ctx.NumTasklets())
 	if err != nil {
 		return err
 	}
-	buf, err := ctx.Alloc(2048)
+	buf, err := ctx.AllocU32(512)
 	if err != nil {
 		return err
 	}
-	per := ((n+nt-1)/nt + 1) &^ 1
-	start := ctx.Me() * per
-	end := start + per
-	if end > n {
-		end = n
-	}
-	if start > n {
-		start = n
-	}
+	start, end := ctx.Partition(n)
 	var sum uint64
-	for off := start; off < end; off += 512 {
-		cnt := 512
-		if end-off < cnt {
-			cnt = end - off
-		}
-		if err := ctx.MRAMRead(int64(off)*4, buf[:cnt*4]); err != nil {
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(int64(off)*4, w); err != nil {
 			return err
 		}
-		for i := 0; i < cnt; i++ {
-			sum += uint64(binary.LittleEndian.Uint32(buf[4*i:]))
+		for _, v := range w {
+			sum += uint64(v)
 		}
-		ctx.Tick(int64(cnt) * 4)
+		ctx.Tick(int64(len(w)) * 4)
 	}
-	binary.LittleEndian.PutUint64(table[8*ctx.Me():], sum)
+	table[ctx.Me()] = sum
 	ctx.Barrier()
 	if ctx.Me() == 0 {
 		var total uint64
-		for t := 0; t < nt; t++ {
-			total += binary.LittleEndian.Uint64(table[8*t:])
+		for _, v := range table {
+			total += v
 		}
-		var out [8]byte
-		binary.LittleEndian.PutUint64(out[:], total)
-		return ctx.MRAMWrite(out[:], int64(n)*4)
+		return ctx.WriteU64([]uint64{total}, int64(n)*4)
 	}
 	return nil
 }

@@ -110,61 +110,48 @@ func runIndexKernel(ctx *pim.Ctx) error {
 		return err
 	}
 
-	// Queries are small; share them in WRAM.
-	qBytes := int(nq) * 4
-	queries, err := ctx.Shared("is_queries", (qBytes+7)&^7)
+	// Queries are small; share them in WRAM, padded to 8 bytes.
+	queries, err := ctx.SharedU32("is_queries", (int(nq)+1)&^1)
 	if err != nil {
 		return err
 	}
 	if ctx.Me() == 0 {
-		for off := 0; off < qBytes; off += 2048 {
-			cnt := qBytes - off
-			if cnt > 2048 {
-				cnt = 2048
-			}
-			if err := ctx.MRAMRead(int64(qOff)+int64(off), queries[off:off+cnt]); err != nil {
-				return err
-			}
+		if err := ctx.ReadU32(int64(qOff), queries[:nq]); err != nil {
+			return err
 		}
 	}
 	ctx.Barrier()
 
-	buf, err := ctx.Alloc(2048)
+	buf, err := ctx.AllocU32(512)
 	if err != nil {
 		return err
 	}
-	res, err := ctx.Alloc(isResultSize)
+	res, err := ctx.AllocU32(isResultSize / 4)
 	if err != nil {
 		return err
 	}
 	// Tasklets split the query batch; each scans the whole
 	// partition for its queries.
 	for q := ctx.Me(); q < int(nq); q += ctx.NumTasklets() {
-		term := binary.LittleEndian.Uint32(queries[4*q:])
+		term := queries[q]
 		hits := 0
-		for i := range res {
-			res[i] = 0
-		}
+		clear(res)
 		// Stream the partition — [nDocs, {docID, termCount,
-		// terms..., pad}...] — in 2 KB blocks.
+		// terms..., pad}...] — in 2 KB blocks, each read when the
+		// scan reaches it.
 		idx := 0
 		next := func() (uint32, error) {
-			if idx%512 == 0 {
-				base := idx * 4
-				cnt := int(words)*4 - base
-				if cnt > 2048 {
-					cnt = 2048
-				}
-				if cnt <= 0 {
+			i := idx % len(buf)
+			if i == 0 {
+				if idx >= int(words) {
 					return 0, fmt.Errorf("index-search: scan past partition end")
 				}
-				if err := ctx.MRAMRead(int64(base), buf[:cnt]); err != nil {
+				if err := ctx.ReadU32(int64(idx)*4, buf[:min(len(buf), int(words)-idx)]); err != nil {
 					return 0, err
 				}
 			}
-			v := binary.LittleEndian.Uint32(buf[(idx%512)*4:])
 			idx++
-			return v, nil
+			return buf[i], nil
 		}
 		nDocs, err := next()
 		if err != nil {
@@ -186,15 +173,14 @@ func runIndexKernel(ctx *pim.Ctx) error {
 					return err
 				}
 				if t < termCount && v == term && hits < isMaxHits {
-					binary.LittleEndian.PutUint32(res[4*(2+2*hits):], docID)
-					binary.LittleEndian.PutUint32(res[4*(3+2*hits):], t)
+					res[2+2*hits], res[3+2*hits] = docID, t
 					hits++
 				}
 			}
 			ctx.Tick(int64(padded) * 3)
 		}
-		binary.LittleEndian.PutUint32(res, uint32(hits))
-		if err := ctx.MRAMWrite(res, int64(resOff)+int64(q)*isResultSize); err != nil {
+		res[0] = uint32(hits)
+		if err := ctx.WriteU32(res, int64(resOff)+int64(q)*isResultSize); err != nil {
 			return err
 		}
 	}
@@ -418,7 +404,7 @@ func setU32At(set *sdk.Set, dpu int, name string, v uint32) error {
 func padTo8(n int) int { return (n + 7) &^ 7 }
 
 // Kernels returns the microbenchmark DPU binaries. As in prim.Kernels,
-// each Run is a named function, so its per-word helpers are inlined.
+// each Run is a named function, so the Ctx calls in it are inlined.
 func Kernels() []*pim.Kernel {
 	return []*pim.Kernel{checksumKernel(), indexKernel()}
 }

@@ -19,40 +19,40 @@ func countZerosKernel() *vpim.Kernel {
 			{Name: "zero_count", Bytes: 8},
 			{Name: "partition_size", Bytes: 4},
 		},
-		Run: func(ctx *vpim.KernelCtx) error {
-			if ctx.Me() == 0 {
-				ctx.ResetHeap()
-			}
-			ctx.Barrier()
-			partBytes, err := ctx.HostU32("partition_size")
-			if err != nil {
-				return err
-			}
-			per := int(partBytes) / ctx.NumTasklets()
-			buf, err := ctx.Alloc(2048)
-			if err != nil {
-				return err
-			}
-			base := int64(ctx.Me() * per)
-			var count uint64
-			for off := 0; off < per; off += len(buf) {
-				n := len(buf)
-				if per-off < n {
-					n = per - off
-				}
-				if err := ctx.MRAMRead(base+int64(off), buf[:n]); err != nil {
-					return err
-				}
-				for i := 0; i+4 <= n; i += 4 {
-					if binary.LittleEndian.Uint32(buf[i:]) == 0 {
-						count++
-					}
-					ctx.Tick(4)
-				}
-			}
-			return ctx.AddHostU64("zero_count", count)
-		},
+		Run: countZerosTasklet,
 	}
+}
+
+// countZerosTasklet is the kernel body: Partition gives the tasklet its
+// words, and it reads them as []uint32 blocks of 2 KiB.
+func countZerosTasklet(ctx *vpim.KernelCtx) error {
+	if ctx.Me() == 0 {
+		ctx.ResetHeap()
+	}
+	ctx.Barrier()
+	partBytes, err := ctx.HostU32("partition_size")
+	if err != nil {
+		return err
+	}
+	buf, err := ctx.AllocU32(512)
+	if err != nil {
+		return err
+	}
+	start, end := ctx.Partition(int(partBytes) / 4)
+	var count uint64
+	for off := start; off < end; off += len(buf) {
+		w := buf[:min(len(buf), end-off)]
+		if err := ctx.ReadU32(int64(off)*4, w); err != nil {
+			return err
+		}
+		for _, v := range w {
+			if v == 0 {
+				count++
+			}
+		}
+		ctx.Tick(int64(len(w)) * 4)
+	}
+	return ctx.AddHostU64("zero_count", count)
 }
 
 // runCountZeros runs the Fig. 2a host program in the given environment and
