@@ -16,7 +16,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -40,7 +39,6 @@ func main() {
 		ckdiv    = flag.Int("checksum-divisor", 4, "divide checksum sizes by this (1 = paper's 8-60 MB per DPU)")
 		traceOut = flag.String("trace", "", "write a Chrome trace of one vPIM run to this file")
 		traceApp = flag.String("trace-app", "VA", "PrIM application for -trace")
-		fig13Out = flag.String("fig13-json", "", "write the Fig 13 step breakdown as JSON to this file")
 	)
 	flag.Parse()
 
@@ -54,13 +52,6 @@ func main() {
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut, *traceApp, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "vpim-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *fig13Out != "" {
-		if err := writeFig13JSON(*fig13Out, cfg); err != nil {
 			fmt.Fprintln(os.Stderr, "vpim-bench:", err)
 			os.Exit(1)
 		}
@@ -86,23 +77,6 @@ func writeTrace(path, app string, cfg bench.Config) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeFig13JSON runs the Fig 13 experiment and writes the structured
-// export (step breakdown + counters, nanosecond integers) to path. The
-// output is deterministic for a given flag set, so the committed
-// BENCH_fig13.json can be regenerated and diffed.
-func writeFig13JSON(path string, cfg bench.Config) error {
-	h := bench.New(io.Discard, cfg)
-	exp, err := h.Fig13Data()
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(exp, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func run(w io.Writer, fig, apps string, list, variants bool, cfg bench.Config) error {

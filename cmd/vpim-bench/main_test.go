@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -65,35 +66,68 @@ func TestRunUnknownApp(t *testing.T) {
 	}
 }
 
-// TestFig13ExportReproducible regenerates the Fig 13 export with the flags
-// CI uses (-ranks 2 -dpus 8 -checksum-divisor 60) at GOMAXPROCS 1 and 4 and
-// byte-compares each result with the committed BENCH_fig13.json: the export
-// must be a function of those flags alone, not of the host's core count.
-func TestFig13ExportReproducible(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("..", "..", "BENCH_fig13.json"))
+// TestCommittedFigures regenerates the figures that are cheap at the default
+// configuration, the one results/all_figures.txt was run at, under
+// GOMAXPROCS 1 and 4. Each block of rows, from its "# " header to the next,
+// must equal the committed file's block byte for byte: every virtual time is
+// printed to the nanosecond, so any change to the clock fails here. The
+// costly figures (8-11, 14 and 16) are held by CI's diff of the whole run.
+func TestCommittedFigures(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "results", "all_figures.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := bench.Config{Ranks: 2, DPUsPerRank: 8, Scale: 1, ChecksumDivisor: 60}
+	want := blocks(string(data))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		path := filepath.Join(t.TempDir(), "fig13.json")
-		if err := writeFig13JSON(path, cfg); err != nil {
+		var out bytes.Buffer
+		if err := run(&out, "", "", true, true, bench.Config{}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-			for i := range gl {
-				if i >= len(wl) || gl[i] != wl[i] {
-					t.Fatalf("GOMAXPROCS=%d: export differs from BENCH_fig13.json at line %d: got %q", procs, i+1, gl[i])
-				}
+		for _, fig := range []string{"12", "13", "15", "boot", "manager", "mem"} {
+			if err := run(&out, fig, "", false, false, bench.Config{}); err != nil {
+				t.Fatalf("-fig %s: %v", fig, err)
 			}
-			t.Fatalf("GOMAXPROCS=%d: export is a truncated BENCH_fig13.json", procs)
+		}
+		got := blocks(out.String())
+		if len(got) != 8 {
+			t.Fatalf("GOMAXPROCS=%d: %d blocks, want 8:\n%s", procs, len(got), out.String())
+		}
+		for header, block := range got {
+			if block != want[header] {
+				t.Errorf("GOMAXPROCS=%d: %s differs from results/all_figures.txt\n%s",
+					procs, strings.TrimSpace(header), firstDiff(block, want[header]))
+			}
 		}
 	}
+}
+
+// blocks splits figure output into blocks keyed by their "# " header line.
+func blocks(out string) map[string]string {
+	m := make(map[string]string)
+	header := ""
+	for _, line := range strings.SplitAfter(out, "\n") {
+		if strings.HasPrefix(line, "# ") {
+			header = line
+		}
+		m[header] += line
+	}
+	return m
+}
+
+// firstDiff prints the first line at which two different blocks part.
+func firstDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	i := 0
+	for i < len(gl) && i < len(wl) && gl[i] == wl[i] {
+		i++
+	}
+	line := func(l []string) string {
+		if i < len(l) {
+			return l[i]
+		}
+		return "(no line)"
+	}
+	return fmt.Sprintf("line %d:\n got %s\nwant %s", i+1, line(gl), line(wl))
 }

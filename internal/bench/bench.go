@@ -205,9 +205,10 @@ func (h *Harness) printf(format string, args ...any) {
 	fmt.Fprintf(h.w, format, args...)
 }
 
-// ms formats a duration as milliseconds.
+// ms formats a non-negative duration as milliseconds to the nanosecond, in
+// integer arithmetic, so that every row pins its virtual time exactly.
 func ms(d time.Duration) string {
-	return fmt.Sprintf("%.2f", float64(d)/float64(time.Millisecond))
+	return fmt.Sprintf("%d.%06d", d/time.Millisecond, d%time.Millisecond)
 }
 
 // ratio formats a/b as an overhead factor.

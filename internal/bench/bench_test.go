@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/prim"
 	"repro/internal/sdk"
@@ -62,39 +63,40 @@ func TestTables(t *testing.T) {
 	}
 }
 
+// TestFigureSmoke runs each figure on the small machine and checks that its
+// own output holds its own rows.
 func TestFigureSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure smoke covers several full runs")
 	}
 	var buf bytes.Buffer
 	h := smallHarness(&buf)
-	steps := map[string]func() error{
-		"fig9":    h.Fig9,
-		"fig12":   h.Fig12,
-		"fig13":   h.Fig13,
-		"fig15":   h.Fig15,
-		"fig16":   h.Fig16,
-		"boot":    h.BootOverhead,
-		"manager": h.ManagerOverhead,
-		"mem":     h.MemOverhead,
-	}
-	for name, step := range steps {
-		if err := step(); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, step := range []struct {
+		row string
+		run func() error
+	}{
+		{"fig8 app=RED ", func() error { return h.Fig8([]string{"RED"}) }},
+		{"fig9a ", h.Fig9},
+		{"fig12 ", h.Fig12},
+		{"fig13 ", h.Fig13},
+		{"fig15 ", h.Fig15},
+		{"fig16 ", h.Fig16},
+		{"boot ", h.BootOverhead},
+		{"manager ", h.ManagerOverhead},
+		{"memoverhead ", h.MemOverhead},
+	} {
+		buf.Reset()
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.row, err)
 		}
-		if !strings.Contains(buf.String(), name[:3]) {
-			t.Errorf("%s produced no rows", name)
+		if !strings.Contains(buf.String(), "\n"+step.row) {
+			t.Errorf("no %q rows:\n%s", step.row, buf.String())
 		}
-	}
-	// Fig 8 on one light app.
-	if err := h.Fig8([]string{"RED"}); err != nil {
-		t.Fatalf("fig8: %v", err)
-	}
-	if !strings.Contains(buf.String(), "fig8 app=RED") {
-		t.Error("fig8 missing rows")
 	}
 }
 
+// TestFig16Staircase: sequential handling finishes rank 1 after rank 0,
+// parallel handling finishes every rank at the same virtual time.
 func TestFig16Staircase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rank experiment")
@@ -104,35 +106,26 @@ func TestFig16Staircase(t *testing.T) {
 	if err := h.Fig16(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	// The sequential series must end slower than it starts; the parallel
-	// series must be flat. Parse the first/last rank lines per mode.
-	var seqFirst, seqLast, parFirst, parLast string
-	for _, line := range strings.Split(out, "\n") {
-		switch {
-		case strings.Contains(line, "mode=seq rank=0 "):
-			seqFirst = line
-		case strings.Contains(line, "mode=seq rank=1 "):
-			seqLast = line
-		case strings.Contains(line, "mode=par rank=0 "):
-			parFirst = line
-		case strings.Contains(line, "mode=par rank=1 "):
-			parLast = line
+	exec := make(map[string]time.Duration)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		f := strings.Fields(line) // fig16 mode=M rank=R exec=Tms
+		if len(f) != 4 || f[0] != "fig16" {
+			continue
 		}
-	}
-	if seqFirst == "" || seqLast == "" || parFirst == "" || parLast == "" {
-		t.Fatalf("missing fig16 rows:\n%s", out)
-	}
-	if seqFirst == seqLast {
-		t.Error("sequential per-rank latencies must form a staircase")
-	}
-	if parFirst[strings.Index(parFirst, "exec="):] != parLast[strings.Index(parLast, "exec="):] {
-		// Allow tiny thread-spawn skew: compare prefix to 0.1ms.
-		f := parFirst[strings.Index(parFirst, "exec=") : strings.Index(parFirst, "exec=")+9]
-		l := parLast[strings.Index(parLast, "exec=") : strings.Index(parLast, "exec=")+9]
-		if f != l {
-			t.Errorf("parallel per-rank latencies must be flat: %q vs %q", parFirst, parLast)
+		d, err := time.ParseDuration(strings.TrimPrefix(f[3], "exec="))
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
 		}
+		exec[f[1]+" "+f[2]] = d
+	}
+	if len(exec) != 4 {
+		t.Fatalf("want 2 ranks x 2 modes of fig16 rows:\n%s", buf.String())
+	}
+	if seq0, seq1 := exec["mode=seq rank=0"], exec["mode=seq rank=1"]; seq1 <= seq0 {
+		t.Errorf("sequential rank 1 (%v) must finish after rank 0 (%v)", seq1, seq0)
+	}
+	if par0, par1 := exec["mode=par rank=0"], exec["mode=par rank=1"]; par0 != par1 {
+		t.Errorf("parallel ranks must finish together: %v vs %v", par0, par1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/driver"
 	"repro/internal/prim"
 	"repro/internal/sdk"
@@ -193,84 +194,35 @@ func (h *Harness) Fig12() error {
 	return nil
 }
 
-// Fig13Point is one variant's measurement in the Fig. 13 export: the
-// write-to-rank step breakdown in integer nanoseconds of virtual time plus
-// the run's full counter snapshot. Nanosecond integers (not formatted
-// milliseconds) keep the artifact loss-free and diffable.
-type Fig13Point struct {
-	Variant  string           `json:"variant"`
-	TotalNS  int64            `json:"total_ns"`
-	StepsNS  map[string]int64 `json:"steps_ns"`
-	Counters map[string]int64 `json:"counters"`
-}
-
-// Fig13Export is the machine-readable form of the Fig. 13 experiment,
-// written by vpim-bench -fig13-json and committed as BENCH_fig13.json. The
-// embedded config makes every data point self-describing: two exports are
-// comparable only when their configs match.
-type Fig13Export struct {
-	Figure      string       `json:"figure"`
-	Ranks       int          `json:"ranks"`
-	DPUsPerRank int          `json:"dpus_per_rank"`
-	SizePerDPU  int          `json:"size_per_dpu_bytes"`
-	Divisor     int          `json:"checksum_divisor"`
-	Points      []Fig13Point `json:"points"`
-}
-
-// Fig13Data runs the Fig. 13 experiment (checksum write-to-rank step
-// breakdown, vPIM-rust vs vPIM-C, plus the pipelined full variant whose
-// counter snapshot records the suppressed-exit/coalesced-IRQ savings, and
-// the broadcast variant — checksum pushes one shared buffer to every DPU,
-// so collapsing shrinks the Page/Ser/Deser lanes while T-data stays put)
-// and returns the structured export. Every number in it is a function of
-// the workload, so the committed export is byte-identical on any core
-// count.
-func (h *Harness) Fig13Data() (*Fig13Export, error) {
+// Fig13 prints the write-to-rank step breakdown (Page / Deser / Int / Ser /
+// T-data) of the checksum run, one row per lane: the paper's vPIM-rust and
+// vPIM-C, then vPIM and the two extensions layered on it. Each extension is
+// vPIM plus one option and names that exact twin. Checksum pushes one shared
+// buffer to every DPU, so broadcast shrinks the Page/Ser/Deser lanes while
+// T-data stays put.
+func (h *Harness) Fig13() error {
 	size := h.scaledSize(8 << 20)
-	exp := &Fig13Export{
-		Figure:      "13",
-		Ranks:       h.cfg.Ranks,
-		DPUsPerRank: h.cfg.DPUsPerRank,
-		SizePerDPU:  size,
-		Divisor:     h.cfg.ChecksumDivisor,
-	}
-	for _, variant := range []string{"vPIM-rust", "vPIM-C", "vPIM-pipe", "vPIM-bcast"} {
-		opts, err := vmm.Variant(variant)
+	h.printf("# Fig 13: write-to-rank step breakdown (checksum)\n")
+	for _, lane := range []struct{ variant, twin string }{
+		{"vPIM-rust", ""}, {"vPIM-C", ""}, {"vPIM", ""},
+		{"vPIM-pipe", "vPIM"}, {"vPIM-bcast", "vPIM"},
+	} {
+		opts, err := vmm.Variant(lane.variant)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		_, vp, err := h.checksum(h.cfg.DPUsPerRank, size, 16, opts)
 		if err != nil {
-			return nil, fmt.Errorf("fig13 %s: %w", variant, err)
+			return fmt.Errorf("fig13 %s: %w", lane.variant, err)
 		}
-		pt := Fig13Point{
-			Variant:  variant,
-			TotalNS:  vp.Total.Nanoseconds(),
-			StepsNS:  make(map[string]int64, len(vp.Steps)),
-			Counters: vp.Counters,
+		label := lane.variant
+		if lane.twin != "" {
+			label += " twin=" + lane.twin
 		}
-		for st, d := range vp.Steps {
-			pt.StepsNS[st] = d.Nanoseconds()
-		}
-		exp.Points = append(exp.Points, pt)
-	}
-	return exp, nil
-}
-
-// Fig13 prints the write-to-rank step breakdown (Page / Deser / Int / Ser /
-// T-data) for the same checksum configuration.
-func (h *Harness) Fig13() error {
-	h.printf("# Fig 13: write-to-rank step breakdown (checksum)\n")
-	exp, err := h.Fig13Data()
-	if err != nil {
-		return err
-	}
-	for _, pt := range exp.Points {
-		ns := func(st string) time.Duration { return time.Duration(pt.StepsNS[st]) }
-		h.printf("fig13 variant=%s page=%sms deser=%sms int=%sms ser=%sms t-data=%sms\n",
-			pt.Variant, ms(ns(trace.StepPage)), ms(ns(trace.StepDeser)),
-			ms(ns(trace.StepInt)), ms(ns(trace.StepSer)), ms(ns(trace.StepTData)))
-		h.printf("fig13.counters variant=%s %s\n", pt.Variant, counterCols(Result{Counters: pt.Counters}))
+		h.printf("fig13 variant=%s total=%sms page=%sms deser=%sms int=%sms ser=%sms t-data=%sms\n",
+			label, ms(vp.Total), ms(vp.Steps[trace.StepPage]), ms(vp.Steps[trace.StepDeser]),
+			ms(vp.Steps[trace.StepInt]), ms(vp.Steps[trace.StepSer]), ms(vp.Steps[trace.StepTData]))
+		h.printf("fig13.counters variant=%s %s\n", lane.variant, counterCols(vp))
 	}
 	return nil
 }
@@ -412,7 +364,7 @@ func (h *Harness) Table2() {
 			continue
 		}
 		h.printf("table2 variant=%s c-enhancement=%v prefetch=%v batching=%v parallel=%v\n",
-			name, opts.Engine != 2, opts.Prefetch, opts.Batch, opts.Parallel)
+			name, opts.Engine != cost.EngineRust, opts.Prefetch, opts.Batch, opts.Parallel)
 	}
 }
 

@@ -3,7 +3,6 @@ package prim
 import (
 	"encoding/binary"
 	"testing"
-	"testing/quick"
 )
 
 func TestPadTo(t *testing.T) {
@@ -14,31 +13,6 @@ func TestPadTo(t *testing.T) {
 		if got := padTo(tc.n, tc.align); got != tc.want {
 			t.Errorf("padTo(%d,%d) = %d, want %d", tc.n, tc.align, got, tc.want)
 		}
-	}
-}
-
-// Property: chunkU32 covers at least n elements, each chunk is padded, and
-// no chunk exceeds the padded even share.
-func TestChunkU32Property(t *testing.T) {
-	f := func(nSeed uint16, dSeed, padSeed uint8) bool {
-		n := int(nSeed) + 1
-		d := int(dSeed)%16 + 1
-		pad := []int{1, 2, 4, 8}[padSeed%4]
-		chunks := chunkU32(n, d, pad)
-		if len(chunks) != d {
-			return false
-		}
-		total := 0
-		for _, c := range chunks {
-			if c%pad != 0 || c < 0 {
-				return false
-			}
-			total += c
-		}
-		return total >= n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

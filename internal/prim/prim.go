@@ -218,27 +218,6 @@ func u64At(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) 
 // padTo rounds n up to a multiple of align.
 func padTo(n, align int) int { return (n + align - 1) / align * align }
 
-// chunkU32 splits n elements across d DPUs in chunks padded to `pad`
-// elements; the last chunk absorbs the remainder. It returns per-DPU element
-// counts summing to at least n (padding is zero-filled by callers).
-func chunkU32(n, d, pad int) []int {
-	per := padTo((n+d-1)/d, pad)
-	out := make([]int, d)
-	remaining := n
-	for i := 0; i < d; i++ {
-		c := per
-		if c > remaining {
-			c = remaining
-		}
-		out[i] = padTo(c, pad)
-		remaining -= c
-		if remaining < 0 {
-			remaining = 0
-		}
-	}
-	return out
-}
-
 // setU32Sym broadcasts a uint32 host symbol value to all DPUs of the set.
 func setU32Sym(set *sdk.Set, name string, v uint32) error {
 	var b [4]byte
