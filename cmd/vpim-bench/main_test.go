@@ -66,18 +66,33 @@ func TestRunUnknownApp(t *testing.T) {
 	}
 }
 
+// fig8Apps are the Fig 8 applications TestCommittedFigures reruns. Between
+// them they push sliced buffers, TS's overlapping windows and shared
+// buffers, gather slices, read symbols, and read 8-byte inter-DPU sums
+// through the prefetch cache.
+const fig8Apps = "GEMV,TS,SCAN-SSA"
+
 // TestCommittedFigures regenerates the figures that are cheap at the default
 // configuration, the one results/all_figures.txt was run at, under
 // GOMAXPROCS 1 and 4. Each block of rows, from its "# " header to the next,
 // must equal the committed file's block byte for byte: every virtual time is
-// printed to the nanosecond, so any change to the clock fails here. The
-// costly figures (8-11, 14 and 16) are held by CI's diff of the whole run.
+// printed to the nanosecond, so any change to the clock fails here. Fig 8
+// runs for fig8Apps only, and each of its rows, counters included, must
+// appear in the committed Fig 8 block in the same order. The rest of Fig 8
+// and the costly figures (9-11, 14 and 16) are held by CI's diff of the
+// whole run.
 func TestCommittedFigures(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "results", "all_figures.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := blocks(string(data))
+	var fig8 string
+	for header, block := range want {
+		if strings.HasPrefix(header, "# Fig 8:") {
+			fig8 = block
+		}
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
@@ -100,7 +115,39 @@ func TestCommittedFigures(t *testing.T) {
 					procs, strings.TrimSpace(header), firstDiff(block, want[header]))
 			}
 		}
+
+		var rows bytes.Buffer
+		if err := run(&rows, "8", fig8Apps, false, false, bench.Config{}); err != nil {
+			t.Fatalf("-fig 8 -apps %s: %v", fig8Apps, err)
+		}
+		if n := strings.Count(rows.String(), "\n"); n != 25 {
+			t.Errorf("GOMAXPROCS=%d: -fig 8 -apps %s printed %d lines, want 25", procs, fig8Apps, n)
+		}
+		if line := notInOrder(rows.String(), fig8); line != "" {
+			t.Errorf("GOMAXPROCS=%d: -fig 8 -apps %s row is not in results/all_figures.txt in order:\n%s",
+				procs, fig8Apps, line)
+		}
 	}
+}
+
+// notInOrder returns the first line of got that want does not hold after
+// the line matched before it, or "" when want holds every line in order.
+func notInOrder(got, want string) string {
+	wl := strings.SplitAfter(want, "\n")
+	i := 0
+	for _, line := range strings.SplitAfter(got, "\n") {
+		if line == "" {
+			continue
+		}
+		for i < len(wl) && wl[i] != line {
+			i++
+		}
+		if i == len(wl) {
+			return line
+		}
+		i++
+	}
+	return ""
 }
 
 // blocks splits figure output into blocks keyed by their "# " header line.

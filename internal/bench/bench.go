@@ -95,9 +95,8 @@ type Result struct {
 	// Total is the summed application-phase time (the paper's execution
 	// time metric; device allocation is outside it).
 	Total time.Duration
-	// Messages counts guest->VMM chains; Exits counts VMEXITs (0 native).
+	// Messages counts guest->VMM chains (0 native).
 	Messages int64
-	Exits    int64
 	// Counters is the VM's obs registry snapshot with per-device tags
 	// aggregated away (empty for native runs, which have no virtio path).
 	Counters map[string]int64
@@ -155,7 +154,6 @@ func (h *Harness) RunVM(opts vmm.Options, vcpus int, fn func(env sdk.Env) error)
 		return Result{}, err
 	}
 	res := capture(vm)
-	res.Exits = vm.KVM().Exits()
 	res.Counters = obs.Aggregate(vm.Metrics())
 	res.Messages = res.Counters["frontend.messages"]
 	return res, nil

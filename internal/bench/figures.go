@@ -65,14 +65,20 @@ func (h *Harness) scaledSize(bytes int) int {
 	return (bytes / h.cfg.ChecksumDivisor) &^ 7
 }
 
+// checksumRun is the checksum application at one configuration.
+func checksumRun(dpus, bytesPerDPU int) func(env sdk.Env) error {
+	p := upmem.ChecksumParams{DPUs: dpus, BytesPerDPU: bytesPerDPU}
+	return func(env sdk.Env) error { return upmem.RunChecksum(env, p) }
+}
+
 // checksum runs one checksum configuration on both environments.
 func (h *Harness) checksum(dpus, bytesPerDPU, vcpus int, opts vmm.Options) (nat, vp Result, err error) {
-	p := upmem.ChecksumParams{DPUs: dpus, BytesPerDPU: bytesPerDPU}
-	nat, err = h.RunNative(func(env sdk.Env) error { return upmem.RunChecksum(env, p) })
+	run := checksumRun(dpus, bytesPerDPU)
+	nat, err = h.RunNative(run)
 	if err != nil {
 		return nat, vp, err
 	}
-	vp, err = h.RunVM(opts, vcpus, func(env sdk.Env) error { return upmem.RunChecksum(env, p) })
+	vp, err = h.RunVM(opts, vcpus, run)
 	return nat, vp, err
 }
 
@@ -148,7 +154,7 @@ func (h *Harness) Fig11() error {
 		if err != nil {
 			return fmt.Errorf("fig11a rust: %w", err)
 		}
-		_, vc, err := h.checksum(dpus, size, 16, cOpts)
+		vc, err := h.RunVM(cOpts, 16, checksumRun(dpus, size))
 		if err != nil {
 			return fmt.Errorf("fig11a C: %w", err)
 		}
@@ -162,7 +168,7 @@ func (h *Harness) Fig11() error {
 		if err != nil {
 			return fmt.Errorf("fig11b rust: %w", err)
 		}
-		_, vc, err := h.checksum(h.cfg.DPUsPerRank, sz, 16, cOpts)
+		vc, err := h.RunVM(cOpts, 16, checksumRun(h.cfg.DPUsPerRank, sz))
 		if err != nil {
 			return fmt.Errorf("fig11b C: %w", err)
 		}
@@ -183,7 +189,7 @@ func (h *Harness) Fig12() error {
 		if err != nil {
 			return err
 		}
-		_, vp, err := h.checksum(h.cfg.DPUsPerRank, size, 16, opts)
+		vp, err := h.RunVM(opts, 16, checksumRun(h.cfg.DPUsPerRank, size))
 		if err != nil {
 			return fmt.Errorf("fig12 %s: %w", variant, err)
 		}
@@ -211,7 +217,7 @@ func (h *Harness) Fig13() error {
 		if err != nil {
 			return err
 		}
-		_, vp, err := h.checksum(h.cfg.DPUsPerRank, size, 16, opts)
+		vp, err := h.RunVM(opts, 16, checksumRun(h.cfg.DPUsPerRank, size))
 		if err != nil {
 			return fmt.Errorf("fig13 %s: %w", lane.variant, err)
 		}
@@ -274,16 +280,12 @@ func (h *Harness) Fig15() error {
 		if ranks > h.cfg.Ranks {
 			continue
 		}
-		dpus := ranks * h.cfg.DPUsPerRank
-		p := upmem.ChecksumParams{DPUs: dpus, BytesPerDPU: size}
-		run := func(opts vmm.Options) (Result, error) {
-			return h.RunVM(opts, 16, func(env sdk.Env) error { return upmem.RunChecksum(env, p) })
-		}
-		sres, err := run(seq)
+		run := checksumRun(ranks*h.cfg.DPUsPerRank, size)
+		sres, err := h.RunVM(seq, 16, run)
 		if err != nil {
 			return fmt.Errorf("fig15 seq %d: %w", ranks, err)
 		}
-		pres, err := run(vmm.Full())
+		pres, err := h.RunVM(vmm.Full(), 16, run)
 		if err != nil {
 			return fmt.Errorf("fig15 par %d: %w", ranks, err)
 		}

@@ -276,7 +276,7 @@ func RunChaos(cfg ChaosConfig) (*Outcome, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	plan := compilePlan(rng)
-	mach, mgr, err := newMachine()
+	mach, mgr, err := newMachine(managerOpts())
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +349,7 @@ func (e invariantError) Error() string { return e.err.Error() }
 
 // quiesce suspends the fault plan, detaches every device and converges the
 // manager. Detach failures are returned as plain errors (tolerated by the
-// caller); leaked ranks and parked waiters are invariantErrors.
+// caller); a manager that does not converge is an invariantError.
 func quiesce(vm *vmm.VM, mgr *manager.Manager, plan *chaosPlan) error {
 	plan.disabled = true
 	defer func() { plan.disabled = false }()
@@ -361,16 +361,26 @@ func quiesce(vm *vmm.VM, mgr *manager.Manager, plan *chaosPlan) error {
 	}
 	mgr.ProcessResets()
 	mgr.RetryQuarantined()
+	if err := converged(mgr); err != nil {
+		return invariantError{fmt.Errorf("cleanup: %w", err)}
+	}
+	return detachErr
+}
+
+// converged returns the first sign that mgr has not settled after its
+// tenants left: a rank still ALLO (a leaked allocation), a parked waiter or
+// a parked snapshot.
+func converged(mgr *manager.Manager) error {
 	for i, st := range mgr.States() {
 		if st == manager.StateALLO {
-			return invariantError{fmt.Errorf("cleanup: rank %d still ALLO (leaked allocation)", i)}
+			return fmt.Errorf("rank %d still ALLO (leaked allocation)", i)
 		}
 	}
 	if n := mgr.Waiters(); n != 0 {
-		return invariantError{fmt.Errorf("cleanup: %d waiters still parked", n)}
+		return fmt.Errorf("%d waiters still parked", n)
 	}
 	if parked := mgr.Parked(); len(parked) != 0 {
-		return invariantError{fmt.Errorf("cleanup: snapshots still parked: %v", parked)}
+		return fmt.Errorf("snapshots still parked: %v", parked)
 	}
-	return detachErr
+	return nil
 }

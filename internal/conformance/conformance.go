@@ -51,8 +51,8 @@ func managerOpts() manager.Options {
 }
 
 // newMachine builds a fresh conformance machine with the PrIM kernels
-// registered and a retry-bounded manager.
-func newMachine() (*pim.Machine, *manager.Manager, error) {
+// registered, fronted by a manager with opts.
+func newMachine(opts manager.Options) (*pim.Machine, *manager.Manager, error) {
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: confRanks,
 		Rank:  pim.RankConfig{DPUs: confDPUs, MRAMBytes: confMRAMBytes},
@@ -63,7 +63,7 @@ func newMachine() (*pim.Machine, *manager.Manager, error) {
 	if err := prim.Register(mach.Registry()); err != nil {
 		return nil, nil, err
 	}
-	return mach, manager.New(mach, managerOpts()), nil
+	return mach, manager.New(mach, opts), nil
 }
 
 // params sizes one application run for the conformance machine.
@@ -156,7 +156,7 @@ type NativeRun struct {
 // nativeReference runs app on a fresh native machine: the ground truth every
 // virtualized configuration must reproduce.
 func nativeReference(app prim.App) (NativeRun, error) {
-	mach, mgr, err := newMachine()
+	mach, mgr, err := newMachine(managerOpts())
 	if err != nil {
 		return NativeRun{}, err
 	}
@@ -191,7 +191,7 @@ func NativeChecksum() (NativeRun, error) {
 // nativeUpmem runs one upmem microbenchmark natively on a fresh conformance
 // machine.
 func nativeUpmem(name string, run func(sdk.Env) error) (NativeRun, error) {
-	mach, mgr, err := newMachine()
+	mach, mgr, err := newMachine(managerOpts())
 	if err != nil {
 		return NativeRun{}, err
 	}
@@ -228,7 +228,7 @@ func RunCell(appName string, opts vmm.Options) (Digest, map[string]int64, error)
 
 // newVM boots a conformance VM over a fresh machine.
 func newVM(name string, opts vmm.Options, vupmems int) (*vmm.VM, *manager.Manager, error) {
-	mach, mgr, err := newMachine()
+	mach, mgr, err := newMachine(managerOpts())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -97,7 +97,7 @@ func runConfig(cfg Config, app prim.App) (runResult, error) {
 	if cfg.TimeSlice {
 		return runTimeSliceCell(app)
 	}
-	mach, mgr, err := newMachine()
+	mach, mgr, err := newMachine(managerOpts())
 	if err != nil {
 		return runResult{}, err
 	}

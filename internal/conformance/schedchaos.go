@@ -271,16 +271,8 @@ func RunSchedChaos(seed int64) (*SchedOutcome, error) {
 	mgr.ProcessResets()
 	mgr.RetryQuarantined()
 	mgr.ProcessResets()
-	for i, s := range mgr.States() {
-		if s == manager.StateALLO {
-			return nil, fmt.Errorf("sched chaos seed %d: rank %d still ALLO after drain (leaked allocation)", seed, i)
-		}
-	}
-	if n := mgr.Waiters(); n != 0 {
-		return nil, fmt.Errorf("sched chaos seed %d: %d waiters still parked after drain", seed, n)
-	}
-	if parked := mgr.Parked(); len(parked) != 0 {
-		return nil, fmt.Errorf("sched chaos seed %d: snapshots permanently parked: %v", seed, parked)
+	if err := converged(mgr); err != nil {
+		return nil, fmt.Errorf("sched chaos seed %d after drain: %w", seed, err)
 	}
 
 	out.Manager = mgr.Metrics()

@@ -15,7 +15,6 @@ import (
 	"repro/internal/manager"
 	"repro/internal/native"
 	"repro/internal/obs"
-	"repro/internal/pim"
 	"repro/internal/prim"
 	"repro/internal/sdk"
 	"repro/internal/vmm"
@@ -35,22 +34,6 @@ func schedManagerOpts() manager.Options {
 	}
 }
 
-// newSchedMachine builds the conformance machine with a time-slicing
-// manager.
-func newSchedMachine() (*pim.Machine, *manager.Manager, error) {
-	mach, err := pim.NewMachine(pim.MachineConfig{
-		Ranks: confRanks,
-		Rank:  pim.RankConfig{DPUs: confDPUs, MRAMBytes: confMRAMBytes},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := prim.Register(mach.Registry()); err != nil {
-		return nil, nil, err
-	}
-	return mach, manager.New(mach, schedManagerOpts()), nil
-}
-
 // resident is one competitor VM occupying a rank before the test VM boots.
 type resident struct {
 	vm      *vmm.VM
@@ -67,7 +50,7 @@ const residentBytes = 4096
 // back in (restore onto whatever rank frees up) and their patterns must
 // have survived the round trip through a parked snapshot.
 func runTimeSliceCell(app prim.App) (runResult, error) {
-	mach, mgr, err := newSchedMachine()
+	mach, mgr, err := newMachine(schedManagerOpts())
 	if err != nil {
 		return runResult{}, err
 	}
@@ -155,7 +138,7 @@ func RunTimeSliced(app prim.App, report func(format string, args ...any)) error 
 	// Single-device VMs span one rank, so both the reference and the
 	// virtualized runs size the application at one rank's DPUs.
 	p := prim.Params{DPUs: confDPUs, Scale: 1, Seed: 1}
-	refMach, refMgr, err := newMachine()
+	refMach, refMgr, err := newMachine(managerOpts())
 	if err != nil {
 		return err
 	}
@@ -164,7 +147,7 @@ func RunTimeSliced(app prim.App, report func(format string, args ...any)) error 
 		return fmt.Errorf("native reference: %w", err)
 	}
 
-	mach, mgr, err := newSchedMachine()
+	mach, mgr, err := newMachine(schedManagerOpts())
 	if err != nil {
 		return err
 	}
@@ -224,16 +207,8 @@ func RunTimeSliced(app prim.App, report func(format string, args ...any)) error 
 	}
 	mgr.ProcessResets()
 	mgr.RetryQuarantined()
-	for i, st := range mgr.States() {
-		if st == manager.StateALLO {
-			return fmt.Errorf("timesliced %s: rank %d still ALLO after teardown (leaked allocation)", app.Name, i)
-		}
-	}
-	if n := mgr.Waiters(); n != 0 {
-		return fmt.Errorf("timesliced %s: %d waiters still parked after teardown", app.Name, n)
-	}
-	if parked := mgr.Parked(); len(parked) != 0 {
-		return fmt.Errorf("timesliced %s: snapshots still parked after teardown: %v", app.Name, parked)
+	if err := converged(mgr); err != nil {
+		return fmt.Errorf("timesliced %s after teardown: %w", app.Name, err)
 	}
 	return nil
 }

@@ -313,15 +313,15 @@ func RunBFS(env sdk.Env, p Params) error {
 	front[0] |= 1
 	vis[0] |= 1
 
-	frontBuf, err := allocBytes(env, bmBytes)
+	frontBuf, err := env.AllocBuffer(bmBytes)
 	if err != nil {
 		return err
 	}
-	visBuf, err := allocBytes(env, bmBytes)
+	visBuf, err := env.AllocBuffer(bmBytes)
 	if err != nil {
 		return err
 	}
-	nextBuf, err := allocBytes(env, p.DPUs*bmBytes)
+	nextBuf, err := env.AllocBuffer(p.DPUs * bmBytes)
 	if err != nil {
 		return err
 	}
@@ -332,20 +332,10 @@ func RunBFS(env sdk.Env, p Params) error {
 		err = sdk.Phase(tl, trace.PhaseInterDPU, func() error {
 			copy(frontBuf.Data, front)
 			copy(visBuf.Data, vis)
-			for d := 0; d < p.DPUs; d++ {
-				if err := set.PrepareXfer(d, frontBuf); err != nil {
-					return err
-				}
-			}
-			if err := set.PushXfer(sdk.ToDPU, frontOff, bmBytes); err != nil {
+			if err := pushSlices(set, sdk.ToDPU, frontOff, frontBuf, 0, bmBytes); err != nil {
 				return err
 			}
-			for d := 0; d < p.DPUs; d++ {
-				if err := set.PrepareXfer(d, visBuf); err != nil {
-					return err
-				}
-			}
-			return set.PushXfer(sdk.ToDPU, visOff, bmBytes)
+			return pushSlices(set, sdk.ToDPU, visOff, visBuf, 0, bmBytes)
 		})
 		if err != nil {
 			return err
@@ -355,12 +345,7 @@ func RunBFS(env sdk.Env, p Params) error {
 		}
 		next := make([]byte, bmBytes)
 		err = sdk.Phase(tl, trace.PhaseInterDPU, func() error {
-			for d := 0; d < p.DPUs; d++ {
-				if err := set.PrepareXfer(d, subBuf(nextBuf, d*bmBytes, bmBytes)); err != nil {
-					return err
-				}
-			}
-			if err := set.PushXfer(sdk.FromDPU, nextOff, bmBytes); err != nil {
+			if err := pushSlices(set, sdk.FromDPU, nextOff, nextBuf, bmBytes, bmBytes); err != nil {
 				return err
 			}
 			for d := 0; d < p.DPUs; d++ {

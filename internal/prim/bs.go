@@ -141,7 +141,7 @@ func RunBS(env sdk.Env, p Params) error {
 	if err != nil {
 		return err
 	}
-	resBuf, err := allocBytes(env, q*8)
+	resBuf, err := env.AllocBuffer(q * 8)
 	if err != nil {
 		return err
 	}
@@ -154,20 +154,10 @@ func RunBS(env sdk.Env, p Params) error {
 		if err := setU32Sym(set, "bs_q", uint32(q)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(arrBuf, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		if err := set.PushXfer(sdk.ToDPU, 0, perBytes); err != nil {
+		if err := pushSlices(set, sdk.ToDPU, 0, arrBuf, perBytes, perBytes); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, qBuf); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, int64(perBytes), q*4)
+		return pushSlices(set, sdk.ToDPU, int64(perBytes), qBuf, 0, q*4)
 	})
 	if err != nil {
 		return err

@@ -143,7 +143,7 @@ func RunGEMV(env sdk.Env, p Params) error {
 		return err
 	}
 	// y slots are 8 bytes per row (see kernel).
-	yBuf, err := allocBytes(env, rows*8)
+	yBuf, err := env.AllocBuffer(rows * 8)
 	if err != nil {
 		return err
 	}
@@ -156,21 +156,11 @@ func RunGEMV(env sdk.Env, p Params) error {
 		if err := setU32Sym(set, "gemv_cols", uint32(cols)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(matBuf, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		if err := set.PushXfer(sdk.ToDPU, 0, perBytes); err != nil {
+		if err := pushSlices(set, sdk.ToDPU, 0, matBuf, perBytes, perBytes); err != nil {
 			return err
 		}
 		// Broadcast x to every DPU right after its row block.
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, xBuf); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, int64(perBytes), rowBytes)
+		return pushSlices(set, sdk.ToDPU, int64(perBytes), xBuf, 0, rowBytes)
 	})
 	if err != nil {
 		return err
@@ -181,12 +171,7 @@ func RunGEMV(env sdk.Env, p Params) error {
 	}
 
 	err = sdk.Phase(tl, trace.PhaseDPUCPU, func() error {
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(yBuf, d*perRows*8, perRows*8)); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.FromDPU, int64(perBytes)+int64(rowBytes), perRows*8)
+		return pushSlices(set, sdk.FromDPU, int64(perBytes)+int64(rowBytes), yBuf, perRows*8, perRows*8)
 	})
 	if err != nil {
 		return err

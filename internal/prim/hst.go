@@ -172,7 +172,7 @@ func runHST(env sdk.Env, p Params, app, kernel string, bins int) error {
 	if err != nil {
 		return err
 	}
-	histBuf, err := allocBytes(env, 4*bins)
+	histBuf, err := env.AllocBuffer(4 * bins)
 	if err != nil {
 		return err
 	}
@@ -182,12 +182,7 @@ func runHST(env sdk.Env, p Params, app, kernel string, bins int) error {
 		if err := setU32Sym(set, "hst_n", uint32(per)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(buf, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, 0, perBytes)
+		return pushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
 	})
 	if err != nil {
 		return err

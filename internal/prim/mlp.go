@@ -214,12 +214,7 @@ func RunMLP(env sdk.Env, p Params) error {
 			if err != nil {
 				return err
 			}
-			for d := 0; d < p.DPUs; d++ {
-				if err := set.PrepareXfer(d, subBuf(wBuf, d*perBytes, perBytes)); err != nil {
-					return err
-				}
-			}
-			if err := set.PushXfer(sdk.ToDPU, int64(woffs[l]), perBytes); err != nil {
+			if err := pushSlices(set, sdk.ToDPU, int64(woffs[l]), wBuf, perBytes, perBytes); err != nil {
 				return err
 			}
 		}
@@ -246,12 +241,7 @@ func RunMLP(env sdk.Env, p Params) error {
 			if err != nil {
 				return err
 			}
-			for d := 0; d < p.DPUs; d++ {
-				if err := set.PrepareXfer(d, xBuf); err != nil {
-					return err
-				}
-			}
-			if err := set.PushXfer(sdk.ToDPU, int64(xoff), len(act)*4); err != nil {
+			if err := pushSlices(set, sdk.ToDPU, int64(xoff), xBuf, 0, len(act)*4); err != nil {
 				return err
 			}
 			if err := setU32Sym(set, "mlp_rows", uint32(perRows)); err != nil {
@@ -283,16 +273,11 @@ func RunMLP(env sdk.Env, p Params) error {
 			gatherPhase = trace.PhaseDPUCPU
 		}
 		err = sdk.Phase(tl, gatherPhase, func() error {
-			yBuf, err := allocBytes(env, dims[l+1]*8)
+			yBuf, err := env.AllocBuffer(dims[l+1] * 8)
 			if err != nil {
 				return err
 			}
-			for d := 0; d < p.DPUs; d++ {
-				if err := set.PrepareXfer(d, subBuf(yBuf, d*perRows*8, perRows*8)); err != nil {
-					return err
-				}
-			}
-			if err := set.PushXfer(sdk.FromDPU, int64(yoff), perRows*8); err != nil {
+			if err := pushSlices(set, sdk.FromDPU, int64(yoff), yBuf, perRows*8, perRows*8); err != nil {
 				return err
 			}
 			for i := 0; i < dims[l+1]; i++ {

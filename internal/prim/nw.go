@@ -227,7 +227,7 @@ func RunNW(env sdk.Env, p Params) error {
 
 	maxSlots := (grid + p.DPUs - 1) / p.DPUs
 	outOff := int64(maxSlots) * nwInSlotBytes
-	pieceBuf, err := allocBytes(env, nwPiece)
+	pieceBuf, err := env.AllocBuffer(nwPiece)
 	if err != nil {
 		return err
 	}

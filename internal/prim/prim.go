@@ -196,14 +196,27 @@ func allocU32(env sdk.Env, vals []uint32) (hostmem.Buffer, error) {
 	return buf, nil
 }
 
-// allocBytes allocates an empty buffer of n bytes.
-func allocBytes(env sdk.Env, n int) (hostmem.Buffer, error) {
-	return env.AllocBuffer(n)
-}
-
 // subBuf slices a buffer: the returned Buffer aliases bytes [off, off+n).
 func subBuf(b hostmem.Buffer, off, n int) hostmem.Buffer {
 	return hostmem.Buffer{GPA: b.GPA + uint64(off), Data: b.Data[off : off+n]}
+}
+
+// pushSlices is PrIM's parallel transfer: DPU_FOREACH prepares each DPU d's
+// slice of buf, n bytes from d*stride, and one dpu_push_xfer moves n bytes
+// per DPU at MRAM offset off. Stride 0 prepares buf itself for every DPU,
+// the shared-buffer push that native sharedBuffer, the driver's broadcast
+// mask and the backend's sameSource recognise.
+func pushSlices(set *sdk.Set, dir sdk.Direction, off int64, buf hostmem.Buffer, stride, n int) error {
+	for d := 0; d < set.NumDPUs(); d++ {
+		b := buf
+		if stride != 0 {
+			b = subBuf(buf, d*stride, n)
+		}
+		if err := set.PrepareXfer(d, b); err != nil {
+			return err
+		}
+	}
+	return set.PushXfer(dir, off, n)
 }
 
 // u32At reads the i-th uint32 of a byte slice.

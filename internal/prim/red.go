@@ -120,7 +120,7 @@ func RunRED(env sdk.Env, p Params) error {
 	if err != nil {
 		return err
 	}
-	resBuf, err := allocBytes(env, redResultBytes)
+	resBuf, err := env.AllocBuffer(redResultBytes)
 	if err != nil {
 		return err
 	}
@@ -133,12 +133,7 @@ func RunRED(env sdk.Env, p Params) error {
 		if err := setU32Sym(set, "red_result_off", uint32(resultOff)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(buf, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, 0, perBytes)
+		return pushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
 	})
 	if err != nil {
 		return err

@@ -288,11 +288,11 @@ func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
 	if err != nil {
 		return err
 	}
-	out, err := allocBytes(env, 4*n)
+	out, err := env.AllocBuffer(4 * n)
 	if err != nil {
 		return err
 	}
-	sumBuf, err := allocBytes(env, 8)
+	sumBuf, err := env.AllocBuffer(8)
 	if err != nil {
 		return err
 	}
@@ -302,12 +302,7 @@ func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
 		if err := setU32Sym(set, "scan_n", uint32(per)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(buf, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, 0, perBytes)
+		return pushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
 	})
 	if err != nil {
 		return err
@@ -351,12 +346,7 @@ func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
 	}
 
 	err = sdk.Phase(tl, trace.PhaseDPUCPU, func() error {
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(out, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.FromDPU, int64(perBytes), perBytes)
+		return pushSlices(set, sdk.FromDPU, int64(perBytes), out, perBytes, perBytes)
 	})
 	if err != nil {
 		return err

@@ -253,7 +253,7 @@ func runCompact(env sdk.Env, p Params, app, kernel string, unique bool) error {
 	if err != nil {
 		return err
 	}
-	outBuf, err := allocBytes(env, perBytes)
+	outBuf, err := env.AllocBuffer(perBytes)
 	if err != nil {
 		return err
 	}
@@ -263,12 +263,7 @@ func runCompact(env sdk.Env, p Params, app, kernel string, unique bool) error {
 		if err := setU32Sym(set, "sel_n", uint32(per)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(buf, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, 0, perBytes)
+		return pushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
 	})
 	if err != nil {
 		return err

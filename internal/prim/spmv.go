@@ -188,7 +188,7 @@ func RunSpMV(env sdk.Env, p Params) error {
 	if err != nil {
 		return err
 	}
-	yBuf, err := allocBytes(env, rows*8)
+	yBuf, err := env.AllocBuffer(rows * 8)
 	if err != nil {
 		return err
 	}

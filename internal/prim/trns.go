@@ -141,7 +141,7 @@ func RunTRNS(env sdk.Env, p Params) error {
 	}
 	outOff := int64(maxSlots) * trnsTileBytes
 
-	rowBuf, err := allocBytes(env, trnsRowBytes)
+	rowBuf, err := env.AllocBuffer(trnsRowBytes)
 	if err != nil {
 		return err
 	}
@@ -185,7 +185,7 @@ func RunTRNS(env sdk.Env, p Params) error {
 	// DPU-CPU: bulk read of each DPU's transposed tile region.
 	got := make([]uint32, cols*rows)
 	err = sdk.Phase(tl, trace.PhaseDPUCPU, func() error {
-		outBuf, err := allocBytes(env, maxSlots*trnsTileBytes)
+		outBuf, err := env.AllocBuffer(maxSlots * trnsTileBytes)
 		if err != nil {
 			return err
 		}

@@ -192,20 +192,11 @@ func RunTS(env sdk.Env, p Params) error {
 		if err := setU32Sym(set, "ts_m", uint32(m)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(buf, d*per*4, sliceBytes)); err != nil {
-				return err
-			}
-		}
-		if err := set.PushXfer(sdk.ToDPU, 0, sliceBytes); err != nil {
+		// Windows overlap: each DPU's slice runs m-1 elements into the next.
+		if err := pushSlices(set, sdk.ToDPU, 0, buf, per*4, sliceBytes); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, qBuf); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, int64(qOff), m*4)
+		return pushSlices(set, sdk.ToDPU, int64(qOff), qBuf, 0, m*4)
 	})
 	if err != nil {
 		return err

@@ -116,7 +116,7 @@ func RunVA(env sdk.Env, p Params) error {
 	if err != nil {
 		return err
 	}
-	bufC, err := allocBytes(env, 4*n)
+	bufC, err := env.AllocBuffer(4 * n)
 	if err != nil {
 		return err
 	}
@@ -126,20 +126,10 @@ func RunVA(env sdk.Env, p Params) error {
 		if err := setU32Sym(set, "va_n", uint32(per)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(bufA, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		if err := set.PushXfer(sdk.ToDPU, 0, perBytes); err != nil {
+		if err := pushSlices(set, sdk.ToDPU, 0, bufA, perBytes, perBytes); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(bufB, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, int64(perBytes), perBytes)
+		return pushSlices(set, sdk.ToDPU, int64(perBytes), bufB, perBytes, perBytes)
 	})
 	if err != nil {
 		return err
@@ -150,12 +140,7 @@ func RunVA(env sdk.Env, p Params) error {
 	}
 
 	err = sdk.Phase(tl, trace.PhaseDPUCPU, func() error {
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, subBuf(bufC, d*perBytes, perBytes)); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.FromDPU, 2*int64(perBytes), perBytes)
+		return pushSlices(set, sdk.FromDPU, 2*int64(perBytes), bufC, perBytes, perBytes)
 	})
 	if err != nil {
 		return err
