@@ -215,7 +215,7 @@ func prepareBFS(p Params) *bfsData {
 		}
 		localPtr[perVerts] = uint32(len(cols))
 		d.ptrs[dpu], d.cols[dpu] = localPtr, cols
-		if nnzPad := padTo(len(cols), 2); nnzPad > d.maxNNZPad {
+		if nnzPad := PadTo(len(cols), 2); nnzPad > d.maxNNZPad {
 			d.maxNNZPad = nnzPad
 		}
 	}
@@ -230,7 +230,7 @@ func RunBFS(env sdk.Env, p Params) error {
 		return fmt.Errorf("bfs: %d vertices not divisible by %d DPUs", n, p.DPUs)
 	}
 	perVerts := n / p.DPUs
-	in := prepared("BFS", p, prepareBFS)
+	in := Prepared("BFS", p, prepareBFS)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -241,13 +241,13 @@ func RunBFS(env sdk.Env, p Params) error {
 		return err
 	}
 
-	words := padTo(n, 64) / 64
+	words := PadTo(n, 64) / 64
 	bmBytes := words * 8
 
 	// Every DPU's slice sits at the same offsets, so the geometry
 	// broadcasts once. bfs_base differs per DPU and is the only per-DPU
 	// symbol.
-	ptrBytes := padTo((perVerts+2)*4, 8)
+	ptrBytes := PadTo((perVerts+2)*4, 8)
 	colOff := int64(ptrBytes)
 	frontOff := colOff + int64(in.maxNNZPad*4)
 	visOff := frontOff + int64(bmBytes)
@@ -256,29 +256,29 @@ func RunBFS(env sdk.Env, p Params) error {
 	tl := env.Timeline()
 	// CPU-DPU: serial per-DPU CSR slice distribution (like SpMV).
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "bfs_verts", uint32(perVerts)); err != nil {
+		if err := SetU32Sym(set, "bfs_verts", uint32(perVerts)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "bfs_words", uint32(words)); err != nil {
+		if err := SetU32Sym(set, "bfs_words", uint32(words)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "bfs_col_off", uint32(colOff)); err != nil {
+		if err := SetU32Sym(set, "bfs_col_off", uint32(colOff)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "bfs_front_off", uint32(frontOff)); err != nil {
+		if err := SetU32Sym(set, "bfs_front_off", uint32(frontOff)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "bfs_vis_off", uint32(visOff)); err != nil {
+		if err := SetU32Sym(set, "bfs_vis_off", uint32(visOff)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "bfs_next_off", uint32(nextOff)); err != nil {
+		if err := SetU32Sym(set, "bfs_next_off", uint32(nextOff)); err != nil {
 			return err
 		}
 		for d := 0; d < p.DPUs; d++ {
-			if err := setU32SymAt(set, d, "bfs_base", uint32(d*perVerts)); err != nil {
+			if err := SetU32SymAt(set, d, "bfs_base", uint32(d*perVerts)); err != nil {
 				return err
 			}
-			ptrBuf, err := allocU32(env, in.ptrs[d])
+			ptrBuf, err := AllocU32(env, in.ptrs[d])
 			if err != nil {
 				return err
 			}
@@ -288,11 +288,11 @@ func RunBFS(env sdk.Env, p Params) error {
 			if cols := in.cols[d]; len(cols) > 0 {
 				// The full slice expression makes append copy: it must not
 				// write past the prepared slice's length.
-				colBuf, err := allocU32(env, append(cols[:len(cols):len(cols)], 0))
+				colBuf, err := AllocU32(env, append(cols[:len(cols):len(cols)], 0))
 				if err != nil {
 					return err
 				}
-				if err := set.CopyToMRAM(d, colOff, colBuf, padTo(len(cols), 2)*4); err != nil {
+				if err := set.CopyToMRAM(d, colOff, colBuf, PadTo(len(cols), 2)*4); err != nil {
 					return err
 				}
 			}
@@ -332,10 +332,10 @@ func RunBFS(env sdk.Env, p Params) error {
 		err = sdk.Phase(tl, trace.PhaseInterDPU, func() error {
 			copy(frontBuf.Data, front)
 			copy(visBuf.Data, vis)
-			if err := pushSlices(set, sdk.ToDPU, frontOff, frontBuf, 0, bmBytes); err != nil {
+			if err := PushSlices(set, sdk.ToDPU, frontOff, frontBuf, 0, bmBytes); err != nil {
 				return err
 			}
-			return pushSlices(set, sdk.ToDPU, visOff, visBuf, 0, bmBytes)
+			return PushSlices(set, sdk.ToDPU, visOff, visBuf, 0, bmBytes)
 		})
 		if err != nil {
 			return err
@@ -345,7 +345,7 @@ func RunBFS(env sdk.Env, p Params) error {
 		}
 		next := make([]byte, bmBytes)
 		err = sdk.Phase(tl, trace.PhaseInterDPU, func() error {
-			if err := pushSlices(set, sdk.FromDPU, nextOff, nextBuf, bmBytes, bmBytes); err != nil {
+			if err := PushSlices(set, sdk.FromDPU, nextOff, nextBuf, bmBytes, bmBytes); err != nil {
 				return err
 			}
 			for d := 0; d < p.DPUs; d++ {

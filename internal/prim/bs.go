@@ -121,7 +121,7 @@ func RunBS(env sdk.Env, p Params) error {
 	per := n / p.DPUs
 	perBytes := per * 4
 	q := bsQueries
-	in := prepared("BS", p, prepareBS)
+	in := Prepared("BS", p, prepareBS)
 	arr, queries := in.arr, in.queries
 
 	set, err := env.AllocSet(p.DPUs)
@@ -133,11 +133,11 @@ func RunBS(env sdk.Env, p Params) error {
 		return err
 	}
 
-	arrBuf, err := allocU32(env, arr)
+	arrBuf, err := AllocU32(env, arr)
 	if err != nil {
 		return err
 	}
-	qBuf, err := allocU32(env, queries)
+	qBuf, err := AllocU32(env, queries)
 	if err != nil {
 		return err
 	}
@@ -148,16 +148,16 @@ func RunBS(env sdk.Env, p Params) error {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "bs_n", uint32(per)); err != nil {
+		if err := SetU32Sym(set, "bs_n", uint32(per)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "bs_q", uint32(q)); err != nil {
+		if err := SetU32Sym(set, "bs_q", uint32(q)); err != nil {
 			return err
 		}
-		if err := pushSlices(set, sdk.ToDPU, 0, arrBuf, perBytes, perBytes); err != nil {
+		if err := PushSlices(set, sdk.ToDPU, 0, arrBuf, perBytes, perBytes); err != nil {
 			return err
 		}
-		return pushSlices(set, sdk.ToDPU, int64(perBytes), qBuf, 0, q*4)
+		return PushSlices(set, sdk.ToDPU, int64(perBytes), qBuf, 0, q*4)
 	})
 	if err != nil {
 		return err

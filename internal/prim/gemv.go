@@ -123,7 +123,7 @@ func RunGEMV(env sdk.Env, p Params) error {
 	perRows := rows / p.DPUs
 	rowBytes := cols * 4
 	perBytes := perRows * rowBytes
-	in := prepared("GEMV", p, prepareGEMV)
+	in := Prepared("GEMV", p, prepareGEMV)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -134,11 +134,11 @@ func RunGEMV(env sdk.Env, p Params) error {
 		return err
 	}
 
-	matBuf, err := allocU32(env, in.mat)
+	matBuf, err := AllocU32(env, in.mat)
 	if err != nil {
 		return err
 	}
-	xBuf, err := allocU32(env, in.x)
+	xBuf, err := AllocU32(env, in.x)
 	if err != nil {
 		return err
 	}
@@ -150,17 +150,17 @@ func RunGEMV(env sdk.Env, p Params) error {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "gemv_rows", uint32(perRows)); err != nil {
+		if err := SetU32Sym(set, "gemv_rows", uint32(perRows)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "gemv_cols", uint32(cols)); err != nil {
+		if err := SetU32Sym(set, "gemv_cols", uint32(cols)); err != nil {
 			return err
 		}
-		if err := pushSlices(set, sdk.ToDPU, 0, matBuf, perBytes, perBytes); err != nil {
+		if err := PushSlices(set, sdk.ToDPU, 0, matBuf, perBytes, perBytes); err != nil {
 			return err
 		}
 		// Broadcast x to every DPU right after its row block.
-		return pushSlices(set, sdk.ToDPU, int64(perBytes), xBuf, 0, rowBytes)
+		return PushSlices(set, sdk.ToDPU, int64(perBytes), xBuf, 0, rowBytes)
 	})
 	if err != nil {
 		return err
@@ -171,7 +171,7 @@ func RunGEMV(env sdk.Env, p Params) error {
 	}
 
 	err = sdk.Phase(tl, trace.PhaseDPUCPU, func() error {
-		return pushSlices(set, sdk.FromDPU, int64(perBytes)+int64(rowBytes), yBuf, perRows*8, perRows*8)
+		return PushSlices(set, sdk.FromDPU, int64(perBytes)+int64(rowBytes), yBuf, perRows*8, perRows*8)
 	})
 	if err != nil {
 		return err

@@ -10,8 +10,8 @@ func TestPadTo(t *testing.T) {
 		{0, 8, 0}, {1, 8, 8}, {8, 8, 8}, {9, 8, 16}, {15, 2, 16}, {16, 2, 16},
 	}
 	for _, tc := range tests {
-		if got := padTo(tc.n, tc.align); got != tc.want {
-			t.Errorf("padTo(%d,%d) = %d, want %d", tc.n, tc.align, got, tc.want)
+		if got := PadTo(tc.n, tc.align); got != tc.want {
+			t.Errorf("PadTo(%d,%d) = %d, want %d", tc.n, tc.align, got, tc.want)
 		}
 	}
 }

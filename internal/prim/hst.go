@@ -157,7 +157,7 @@ func runHST(env sdk.Env, p Params, app, kernel string, bins int) error {
 	}
 	per := n / p.DPUs
 	perBytes := per * 4
-	in := prepared(app, p, func(p Params) *hstData { return prepareHST(p, bins) })
+	in := Prepared(app, p, func(p Params) *hstData { return prepareHST(p, bins) })
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -168,7 +168,7 @@ func runHST(env sdk.Env, p Params, app, kernel string, bins int) error {
 		return err
 	}
 
-	buf, err := allocU32(env, in.input)
+	buf, err := AllocU32(env, in.input)
 	if err != nil {
 		return err
 	}
@@ -179,10 +179,10 @@ func runHST(env sdk.Env, p Params, app, kernel string, bins int) error {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "hst_n", uint32(per)); err != nil {
+		if err := SetU32Sym(set, "hst_n", uint32(per)); err != nil {
 			return err
 		}
-		return pushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
+		return PushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
 	})
 	if err != nil {
 		return err

@@ -89,7 +89,7 @@ func TestScanKernelTinyInput(t *testing.T) {
 func TestREDKernelIndivisibleCount(t *testing.T) {
 	r := kernelRank(t, redKernel())
 	const n = 1003 // prime-ish, not divisible by 16
-	in := make([]byte, padTo(n*4, 8))
+	in := make([]byte, PadTo(n*4, 8))
 	var want uint64
 	for i := 0; i < n; i++ {
 		putU32At(in, i, uint32(i))
@@ -98,7 +98,7 @@ func TestREDKernelIndivisibleCount(t *testing.T) {
 	if err := r.WriteDPU(0, 0, in); err != nil {
 		t.Fatal(err)
 	}
-	resOff := padTo(n*4, 8)
+	resOff := PadTo(n*4, 8)
 	var nb, ob [4]byte
 	putU32At(nb[:], 0, n)
 	putU32At(ob[:], 0, uint32(resOff))

@@ -173,7 +173,7 @@ func RunMLP(env sdk.Env, p Params) error {
 			return fmt.Errorf("mlp: layer dim %d not divisible by %d DPUs", dims[l], p.DPUs)
 		}
 	}
-	in := prepared("MLP", p, prepareMLP)
+	in := Prepared("MLP", p, prepareMLP)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -199,7 +199,7 @@ func RunMLP(env sdk.Env, p Params) error {
 			maxDim = d
 		}
 	}
-	xoff := padTo(off, 8)
+	xoff := PadTo(off, 8)
 	yoff := xoff + maxDim*4
 
 	tl := env.Timeline()
@@ -210,11 +210,11 @@ func RunMLP(env sdk.Env, p Params) error {
 			perRows := dims[l+1] / p.DPUs
 			rowBytes := dims[l] * 4
 			perBytes := perRows * rowBytes
-			wBuf, err := allocU32(env, in.weights[l])
+			wBuf, err := AllocU32(env, in.weights[l])
 			if err != nil {
 				return err
 			}
-			if err := pushSlices(set, sdk.ToDPU, int64(woffs[l]), wBuf, perBytes, perBytes); err != nil {
+			if err := PushSlices(set, sdk.ToDPU, int64(woffs[l]), wBuf, perBytes, perBytes); err != nil {
 				return err
 			}
 		}
@@ -237,26 +237,26 @@ func RunMLP(env sdk.Env, p Params) error {
 			for i, v := range act {
 				actU32[i] = uint32(v)
 			}
-			xBuf, err := allocU32(env, actU32)
+			xBuf, err := AllocU32(env, actU32)
 			if err != nil {
 				return err
 			}
-			if err := pushSlices(set, sdk.ToDPU, int64(xoff), xBuf, 0, len(act)*4); err != nil {
+			if err := PushSlices(set, sdk.ToDPU, int64(xoff), xBuf, 0, len(act)*4); err != nil {
 				return err
 			}
-			if err := setU32Sym(set, "mlp_rows", uint32(perRows)); err != nil {
+			if err := SetU32Sym(set, "mlp_rows", uint32(perRows)); err != nil {
 				return err
 			}
-			if err := setU32Sym(set, "mlp_cols", uint32(dims[l])); err != nil {
+			if err := SetU32Sym(set, "mlp_cols", uint32(dims[l])); err != nil {
 				return err
 			}
-			if err := setU32Sym(set, "mlp_woff", uint32(woffs[l])); err != nil {
+			if err := SetU32Sym(set, "mlp_woff", uint32(woffs[l])); err != nil {
 				return err
 			}
-			if err := setU32Sym(set, "mlp_xoff", uint32(xoff)); err != nil {
+			if err := SetU32Sym(set, "mlp_xoff", uint32(xoff)); err != nil {
 				return err
 			}
-			return setU32Sym(set, "mlp_yoff", uint32(yoff))
+			return SetU32Sym(set, "mlp_yoff", uint32(yoff))
 		})
 		if err != nil {
 			return err
@@ -277,7 +277,7 @@ func RunMLP(env sdk.Env, p Params) error {
 			if err != nil {
 				return err
 			}
-			if err := pushSlices(set, sdk.FromDPU, int64(yoff), yBuf, perRows*8, perRows*8); err != nil {
+			if err := PushSlices(set, sdk.FromDPU, int64(yoff), yBuf, perRows*8, perRows*8); err != nil {
 				return err
 			}
 			for i := 0; i < dims[l+1]; i++ {

@@ -188,7 +188,7 @@ func RunNW(env sdk.Env, p Params) error {
 	if grid*nwBlock != l {
 		return fmt.Errorf("nw: length %d not divisible by block %d", l, nwBlock)
 	}
-	in := prepared("NW", p, prepareNW)
+	in := Prepared("NW", p, prepareNW)
 	seqA, seqB := in.seqA, in.seqB
 
 	set, err := env.AllocSet(p.DPUs)
@@ -238,7 +238,7 @@ func RunNW(env sdk.Env, p Params) error {
 	}
 
 	tl := env.Timeline()
-	if err := setU32Sym(set, "nw_out_off", uint32(outOff)); err != nil {
+	if err := SetU32Sym(set, "nw_out_off", uint32(outOff)); err != nil {
 		return err
 	}
 	// writePieces issues one small write per nwPiece-sized piece.
@@ -293,7 +293,7 @@ func RunNW(env sdk.Env, p Params) error {
 		err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
 			for d := 0; d < p.DPUs; d++ {
 				if slots[d] != lastNBlocks[d] {
-					if err := setU32SymAt(set, d, "nw_nblocks", uint32(slots[d])); err != nil {
+					if err := SetU32SymAt(set, d, "nw_nblocks", uint32(slots[d])); err != nil {
 						return err
 					}
 					lastNBlocks[d] = slots[d]

@@ -3,6 +3,7 @@ package prim
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/maphash"
 	"reflect"
 	"sync"
@@ -147,12 +148,21 @@ func BenchmarkPrepare(b *testing.B) {
 	}
 }
 
-// TestPreparedConcurrent calls prepared from several goroutines at once on
-// two keys, so each call may hit, miss, or race another build of its key:
-// every call must still get the value built for its own key.
+// TestPreparedConcurrent calls Prepared from several goroutines at once on
+// four keys under one app name: two Params seeds, and the same two seeds as
+// otherParams, a type with Params' fields. Each call may hit, miss, or race
+// another build of its key: every call must still get the value built for
+// its own key, so a key of another type is a miss even where its fields
+// equal the entry's.
 func TestPreparedConcurrent(t *testing.T) {
 	t.Cleanup(resetPrepared)
-	build := func(p Params) *Params { return &p }
+	type otherParams Params
+	build := func(p Params) string { return fmt.Sprint("Params ", p.Seed) }
+	buildOther := func(p otherParams) string { return fmt.Sprint("otherParams ", p.Seed) }
+	Prepared("T", Params{Seed: 1}, build)
+	if got := Prepared("T", otherParams{Seed: 1}, buildOther); got != "otherParams 1" {
+		t.Fatalf("an otherParams key after an equal Params key returned %q", got)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -160,8 +170,14 @@ func TestPreparedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				seed := int64(1 + (g+i)%2)
-				if got := prepared("T", Params{Seed: seed}, build); got.Seed != seed {
-					t.Errorf("prepared for seed %d returned seed %d's value", seed, got.Seed)
+				var got, want string
+				if (g+i)%3 == 0 {
+					got, want = Prepared("T", otherParams{Seed: seed}, buildOther), buildOther(otherParams{Seed: seed})
+				} else {
+					got, want = Prepared("T", Params{Seed: seed}, build), build(Params{Seed: seed})
+				}
+				if got != want {
+					t.Errorf("Prepared returned %q for the key of %q", got, want)
 					return
 				}
 			}

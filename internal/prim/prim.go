@@ -137,38 +137,38 @@ func Names() []string {
 // the run, so the prepared value holds no output-sized array the run does
 // not already hold.
 
-// lastPrepared is prepared's one entry: the most recent (app, Params) and
+// lastPrepared is Prepared's one entry: the most recent (app, params) and
 // what its prepare function built. It is process-wide because App.Run's
-// callers hand a run nothing but its Params. Since a value depends on its
+// callers hand a run nothing but its params. Since a value depends on its
 // key alone, callers sharing the entry can change what a run costs, never
 // what it computes.
 var lastPrepared struct {
 	sync.Mutex
 	app string
-	p   Params
+	p   any
 	v   any
 }
 
-// prepared returns what prepare builds for app at p, reusing the previous
-// call's value when it was for the same app and Params. Fig 8 runs each app
-// natively and then under vPIM with equal Params, a conformance matrix row
-// runs one app in every configuration, and Fig 14 runs it once per variant,
-// so the run after the first skips generation and references entirely. A
-// new key replaces the entry, and the old value is dropped before the new
-// one is built, so memory stays bounded by one dataset.
+// Prepared returns what prepare builds for app at p, reusing the previous
+// call's value when it was for the same app and p, a comparable params
+// value the run has defaulted (a key of another type is a miss). Fig 8 and
+// Fig 10 run each point natively and then under vPIM, a conformance matrix
+// row runs one app in every configuration, and Fig 14 runs it once per
+// variant, so the run after the first skips generation and references
+// entirely. A new key replaces the entry, and the old value is dropped
+// before the new one is built, so memory stays bounded by one dataset.
 //
 // The value is shared by every run of its key, concurrent ones included:
 // runs only read it. Inputs reach the device through copies into guest
-// buffers (allocU32); a run never writes into a prepared slice nor appends
+// buffers (AllocU32); a run never writes into a prepared slice nor appends
 // to one. TestPreparedReadOnly holds that.
 //
 // prepare runs outside the lock, so concurrent misses on one key may each
 // build it; the last to finish stays.
-func prepared[T any](app string, p Params, prepare func(Params) T) T {
-	p = p.withDefaults()
+func Prepared[P comparable, T any](app string, p P, prepare func(P) T) T {
 	m := &lastPrepared
 	m.Lock()
-	if m.v != nil && m.app == app && m.p == p {
+	if m.v != nil && m.app == app && m.p == any(p) {
 		v := m.v.(T)
 		m.Unlock()
 		return v
@@ -184,8 +184,8 @@ func prepared[T any](app string, p Params, prepare func(Params) T) T {
 
 // --- Buffer helpers -------------------------------------------------------
 
-// allocU32 allocates a guest/host buffer holding n uint32 values.
-func allocU32(env sdk.Env, vals []uint32) (hostmem.Buffer, error) {
+// AllocU32 allocates a guest/host buffer holding vals.
+func AllocU32(env sdk.Env, vals []uint32) (hostmem.Buffer, error) {
 	buf, err := env.AllocBuffer(4 * len(vals))
 	if err != nil {
 		return hostmem.Buffer{}, err
@@ -201,12 +201,12 @@ func subBuf(b hostmem.Buffer, off, n int) hostmem.Buffer {
 	return hostmem.Buffer{GPA: b.GPA + uint64(off), Data: b.Data[off : off+n]}
 }
 
-// pushSlices is PrIM's parallel transfer: DPU_FOREACH prepares each DPU d's
+// PushSlices is PrIM's parallel transfer: DPU_FOREACH prepares each DPU d's
 // slice of buf, n bytes from d*stride, and one dpu_push_xfer moves n bytes
 // per DPU at MRAM offset off. Stride 0 prepares buf itself for every DPU,
 // the shared-buffer push that native sharedBuffer, the driver's broadcast
 // mask and the backend's sameSource recognise.
-func pushSlices(set *sdk.Set, dir sdk.Direction, off int64, buf hostmem.Buffer, stride, n int) error {
+func PushSlices(set *sdk.Set, dir sdk.Direction, off int64, buf hostmem.Buffer, stride, n int) error {
 	for d := 0; d < set.NumDPUs(); d++ {
 		b := buf
 		if stride != 0 {
@@ -228,18 +228,18 @@ func putU32At(b []byte, i int, v uint32) { binary.LittleEndian.PutUint32(b[4*i:]
 // u64At reads the i-th uint64 of a byte slice.
 func u64At(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
 
-// padTo rounds n up to a multiple of align.
-func padTo(n, align int) int { return (n + align - 1) / align * align }
+// PadTo rounds n up to a multiple of align.
+func PadTo(n, align int) int { return (n + align - 1) / align * align }
 
-// setU32Sym broadcasts a uint32 host symbol value to all DPUs of the set.
-func setU32Sym(set *sdk.Set, name string, v uint32) error {
+// SetU32Sym broadcasts a uint32 host symbol value to all DPUs of the set.
+func SetU32Sym(set *sdk.Set, name string, v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	return set.BroadcastSym(name, 0, b[:])
 }
 
-// setU32SymAt writes a uint32 host symbol on one DPU.
-func setU32SymAt(set *sdk.Set, dpu int, name string, v uint32) error {
+// SetU32SymAt writes a uint32 host symbol on one DPU.
+func SetU32SymAt(set *sdk.Set, dpu int, name string, v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
 	return set.CopyToSym(dpu, name, 0, b[:])

@@ -104,8 +104,8 @@ func RunRED(env sdk.Env, p Params) error {
 	}
 	per := n / p.DPUs
 	perBytes := per * 4
-	resultOff := padTo(perBytes, 8)
-	in := prepared("RED", p, prepareRED)
+	resultOff := PadTo(perBytes, 8)
+	in := Prepared("RED", p, prepareRED)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -116,7 +116,7 @@ func RunRED(env sdk.Env, p Params) error {
 		return err
 	}
 
-	buf, err := allocU32(env, in.input)
+	buf, err := AllocU32(env, in.input)
 	if err != nil {
 		return err
 	}
@@ -127,13 +127,13 @@ func RunRED(env sdk.Env, p Params) error {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "red_n", uint32(per)); err != nil {
+		if err := SetU32Sym(set, "red_n", uint32(per)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "red_result_off", uint32(resultOff)); err != nil {
+		if err := SetU32Sym(set, "red_result_off", uint32(resultOff)); err != nil {
 			return err
 		}
-		return pushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
+		return PushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
 	})
 	if err != nil {
 		return err

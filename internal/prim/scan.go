@@ -273,7 +273,7 @@ func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
 	}
 	per := n / p.DPUs
 	perBytes := per * 4
-	input := prepared(app, p, prepareScan).input
+	input := Prepared(app, p, prepareScan).input
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -284,7 +284,7 @@ func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
 		return err
 	}
 
-	buf, err := allocU32(env, input)
+	buf, err := AllocU32(env, input)
 	if err != nil {
 		return err
 	}
@@ -299,10 +299,10 @@ func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "scan_n", uint32(per)); err != nil {
+		if err := SetU32Sym(set, "scan_n", uint32(per)); err != nil {
 			return err
 		}
-		return pushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
+		return PushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
 	})
 	if err != nil {
 		return err
@@ -327,11 +327,11 @@ func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
 		if err := set.Load(kernel2); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "scan_n", uint32(per)); err != nil {
+		if err := SetU32Sym(set, "scan_n", uint32(per)); err != nil {
 			return err
 		}
 		for d := 0; d < p.DPUs; d++ {
-			if err := setU32SymAt(set, d, "scan_base", bases[d]); err != nil {
+			if err := SetU32SymAt(set, d, "scan_base", bases[d]); err != nil {
 				return err
 			}
 		}
@@ -346,7 +346,7 @@ func runScan(env sdk.Env, p Params, app, kernel1, kernel2 string) error {
 	}
 
 	err = sdk.Phase(tl, trace.PhaseDPUCPU, func() error {
-		return pushSlices(set, sdk.FromDPU, int64(perBytes), out, perBytes, perBytes)
+		return PushSlices(set, sdk.FromDPU, int64(perBytes), out, perBytes, perBytes)
 	})
 	if err != nil {
 		return err

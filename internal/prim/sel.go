@@ -238,7 +238,7 @@ func runCompact(env sdk.Env, p Params, app, kernel string, unique bool) error {
 	}
 	per := n / p.DPUs
 	perBytes := per * 4
-	in := prepared(app, p, func(p Params) *compactData { return prepareCompact(p, unique) })
+	in := Prepared(app, p, func(p Params) *compactData { return prepareCompact(p, unique) })
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -249,7 +249,7 @@ func runCompact(env sdk.Env, p Params, app, kernel string, unique bool) error {
 		return err
 	}
 
-	buf, err := allocU32(env, in.input)
+	buf, err := AllocU32(env, in.input)
 	if err != nil {
 		return err
 	}
@@ -260,10 +260,10 @@ func runCompact(env sdk.Env, p Params, app, kernel string, unique bool) error {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "sel_n", uint32(per)); err != nil {
+		if err := SetU32Sym(set, "sel_n", uint32(per)); err != nil {
 			return err
 		}
-		return pushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
+		return PushSlices(set, sdk.ToDPU, 0, buf, perBytes, perBytes)
 	})
 	if err != nil {
 		return err
@@ -285,7 +285,7 @@ func runCompact(env sdk.Env, p Params, app, kernel string, unique bool) error {
 			if count == 0 {
 				continue
 			}
-			nBytesOut := padTo(int(count)*4, 8)
+			nBytesOut := PadTo(int(count)*4, 8)
 			if err := set.CopyFromMRAM(d, int64(perBytes), outBuf, nBytesOut); err != nil {
 				return err
 			}

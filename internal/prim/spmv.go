@@ -172,7 +172,7 @@ func RunSpMV(env sdk.Env, p Params) error {
 		return fmt.Errorf("spmv: %d rows not divisible by %d DPUs", rows, p.DPUs)
 	}
 	perRows := rows / p.DPUs
-	in := prepared("SpMV", p, prepareSpMV)
+	in := Prepared("SpMV", p, prepareSpMV)
 	rowptr, colidx, vals := in.rowptr, in.colidx, in.vals
 
 	set, err := env.AllocSet(p.DPUs)
@@ -184,7 +184,7 @@ func RunSpMV(env sdk.Env, p Params) error {
 		return err
 	}
 
-	xBuf, err := allocU32(env, in.x)
+	xBuf, err := AllocU32(env, in.x)
 	if err != nil {
 		return err
 	}
@@ -198,11 +198,11 @@ func RunSpMV(env sdk.Env, p Params) error {
 	// is still distributed serially, one DPU at a time (PrIM's SpMV style).
 	maxNNZPad := 2
 	for d := 0; d < p.DPUs; d++ {
-		if nnz := padTo(int(rowptr[(d+1)*perRows]-rowptr[d*perRows]), 2); nnz > maxNNZPad {
+		if nnz := PadTo(int(rowptr[(d+1)*perRows]-rowptr[d*perRows]), 2); nnz > maxNNZPad {
 			maxNNZPad = nnz
 		}
 	}
-	ptrBytes := padTo((perRows+2)*4, 8)
+	ptrBytes := PadTo((perRows+2)*4, 8)
 	colOff := int64(ptrBytes)
 	valOff := colOff + int64(maxNNZPad*4)
 	xOff := valOff + int64(maxNNZPad*4)
@@ -210,22 +210,22 @@ func RunSpMV(env sdk.Env, p Params) error {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "spmv_rows", uint32(perRows)); err != nil {
+		if err := SetU32Sym(set, "spmv_rows", uint32(perRows)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "spmv_cols", uint32(cols)); err != nil {
+		if err := SetU32Sym(set, "spmv_cols", uint32(cols)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "spmv_col_off", uint32(colOff)); err != nil {
+		if err := SetU32Sym(set, "spmv_col_off", uint32(colOff)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "spmv_val_off", uint32(valOff)); err != nil {
+		if err := SetU32Sym(set, "spmv_val_off", uint32(valOff)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "spmv_x_off", uint32(xOff)); err != nil {
+		if err := SetU32Sym(set, "spmv_x_off", uint32(xOff)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "spmv_y_off", uint32(yOff)); err != nil {
+		if err := SetU32Sym(set, "spmv_y_off", uint32(yOff)); err != nil {
 			return err
 		}
 		// Serial CSR distribution: one DPU at a time.
@@ -237,9 +237,9 @@ func RunSpMV(env sdk.Env, p Params) error {
 				localPtr[i] = rowptr[d*perRows+i] - lo
 			}
 			nnz := int(hi - lo)
-			nnzPad := padTo(nnz, 2)
+			nnzPad := PadTo(nnz, 2)
 
-			ptrBuf, err := allocU32(env, localPtr)
+			ptrBuf, err := AllocU32(env, localPtr)
 			if err != nil {
 				return err
 			}
@@ -247,14 +247,14 @@ func RunSpMV(env sdk.Env, p Params) error {
 				return err
 			}
 			if nnz > 0 {
-				colBuf, err := allocU32(env, append(colidx[lo:hi:hi], 0))
+				colBuf, err := AllocU32(env, append(colidx[lo:hi:hi], 0))
 				if err != nil {
 					return err
 				}
 				if err := set.CopyToMRAM(d, colOff, colBuf, nnzPad*4); err != nil {
 					return err
 				}
-				valBuf, err := allocU32(env, append(vals[lo:hi:hi], 0))
+				valBuf, err := AllocU32(env, append(vals[lo:hi:hi], 0))
 				if err != nil {
 					return err
 				}

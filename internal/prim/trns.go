@@ -113,7 +113,7 @@ func RunTRNS(env sdk.Env, p Params) error {
 		return fmt.Errorf("trns: %dx%d not divisible by tile %d", rows, cols, trnsTile)
 	}
 	nTiles := tr * tc
-	mat := prepared("TRNS", p, prepareTRNS).mat
+	mat := Prepared("TRNS", p, prepareTRNS).mat
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -149,11 +149,11 @@ func RunTRNS(env sdk.Env, p Params) error {
 	tl := env.Timeline()
 	// CPU-DPU: one small write per tile row (the step-wise layout).
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "trns_out_off", uint32(outOff)); err != nil {
+		if err := SetU32Sym(set, "trns_out_off", uint32(outOff)); err != nil {
 			return err
 		}
 		for d := 0; d < p.DPUs; d++ {
-			if err := setU32SymAt(set, d, "trns_ntiles", uint32(slots[d])); err != nil {
+			if err := SetU32SymAt(set, d, "trns_ntiles", uint32(slots[d])); err != nil {
 				return err
 			}
 		}

@@ -161,7 +161,7 @@ func RunTS(env sdk.Env, p Params) error {
 		return fmt.Errorf("ts: %d points not divisible by %d DPUs", n, p.DPUs)
 	}
 	per := n / p.DPUs
-	in := prepared("TS", p, prepareTS)
+	in := Prepared("TS", p, prepareTS)
 
 	set, err := env.AllocSet(p.DPUs)
 	if err != nil {
@@ -172,11 +172,11 @@ func RunTS(env sdk.Env, p Params) error {
 		return err
 	}
 
-	buf, err := allocU32(env, in.series)
+	buf, err := AllocU32(env, in.series)
 	if err != nil {
 		return err
 	}
-	qBuf, err := allocU32(env, in.query)
+	qBuf, err := AllocU32(env, in.query)
 	if err != nil {
 		return err
 	}
@@ -184,19 +184,19 @@ func RunTS(env sdk.Env, p Params) error {
 	tl := env.Timeline()
 	sliceElems := per + m - 1
 	sliceBytes := sliceElems * 4
-	qOff := padTo(sliceBytes, 8)
+	qOff := PadTo(sliceBytes, 8)
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "ts_n", uint32(per)); err != nil {
+		if err := SetU32Sym(set, "ts_n", uint32(per)); err != nil {
 			return err
 		}
-		if err := setU32Sym(set, "ts_m", uint32(m)); err != nil {
+		if err := SetU32Sym(set, "ts_m", uint32(m)); err != nil {
 			return err
 		}
 		// Windows overlap: each DPU's slice runs m-1 elements into the next.
-		if err := pushSlices(set, sdk.ToDPU, 0, buf, per*4, sliceBytes); err != nil {
+		if err := PushSlices(set, sdk.ToDPU, 0, buf, per*4, sliceBytes); err != nil {
 			return err
 		}
-		return pushSlices(set, sdk.ToDPU, int64(qOff), qBuf, 0, m*4)
+		return PushSlices(set, sdk.ToDPU, int64(qOff), qBuf, 0, m*4)
 	})
 	if err != nil {
 		return err

@@ -96,7 +96,7 @@ func RunVA(env sdk.Env, p Params) error {
 		return fmt.Errorf("va: per-DPU chunk %d not 8-byte aligned", per)
 	}
 	perBytes := per * 4
-	in := prepared("VA", p, prepareVA)
+	in := Prepared("VA", p, prepareVA)
 	a, b := in.a, in.b
 
 	set, err := env.AllocSet(p.DPUs)
@@ -108,11 +108,11 @@ func RunVA(env sdk.Env, p Params) error {
 		return err
 	}
 
-	bufA, err := allocU32(env, a)
+	bufA, err := AllocU32(env, a)
 	if err != nil {
 		return err
 	}
-	bufB, err := allocU32(env, b)
+	bufB, err := AllocU32(env, b)
 	if err != nil {
 		return err
 	}
@@ -123,13 +123,13 @@ func RunVA(env sdk.Env, p Params) error {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := setU32Sym(set, "va_n", uint32(per)); err != nil {
+		if err := SetU32Sym(set, "va_n", uint32(per)); err != nil {
 			return err
 		}
-		if err := pushSlices(set, sdk.ToDPU, 0, bufA, perBytes, perBytes); err != nil {
+		if err := PushSlices(set, sdk.ToDPU, 0, bufA, perBytes, perBytes); err != nil {
 			return err
 		}
-		return pushSlices(set, sdk.ToDPU, int64(perBytes), bufB, perBytes, perBytes)
+		return PushSlices(set, sdk.ToDPU, int64(perBytes), bufB, perBytes, perBytes)
 	})
 	if err != nil {
 		return err
@@ -140,7 +140,7 @@ func RunVA(env sdk.Env, p Params) error {
 	}
 
 	err = sdk.Phase(tl, trace.PhaseDPUCPU, func() error {
-		return pushSlices(set, sdk.FromDPU, 2*int64(perBytes), bufC, perBytes, perBytes)
+		return PushSlices(set, sdk.FromDPU, 2*int64(perBytes), bufC, perBytes, perBytes)
 	})
 	if err != nil {
 		return err

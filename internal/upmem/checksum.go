@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/hostmem"
 	"repro/internal/pim"
+	"repro/internal/prim"
 	"repro/internal/sdk"
 	"repro/internal/trace"
 )
@@ -127,15 +128,10 @@ func RunChecksum(env sdk.Env, p ChecksumParams) (err error) {
 
 	tl := env.Timeline()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
-		if err := broadcastU32(set, "ck_n", uint32(words)); err != nil {
+		if err := prim.SetU32Sym(set, "ck_n", uint32(words)); err != nil {
 			return err
 		}
-		for d := 0; d < p.DPUs; d++ {
-			if err := set.PrepareXfer(d, file); err != nil {
-				return err
-			}
-		}
-		return set.PushXfer(sdk.ToDPU, 0, p.BytesPerDPU)
+		return prim.PushSlices(set, sdk.ToDPU, 0, file, 0, p.BytesPerDPU)
 	})
 	if err != nil {
 		return err
@@ -170,11 +166,4 @@ func freeBuffer(env sdk.Env, buf hostmem.Buffer, err *error) {
 	if ferr := env.FreeBuffer(buf); *err == nil {
 		*err = ferr
 	}
-}
-
-// broadcastU32 writes a uint32 host symbol on every DPU.
-func broadcastU32(set *sdk.Set, name string, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return set.BroadcastSym(name, 0, b[:])
 }

@@ -281,11 +281,13 @@ func runGuestSession(t *testing.T, opts Options, data []byte) {
 // pixels wider than HST's 12-bit depth (both variants), a TS query longer
 // than its WRAM window, and a checksum length past the banks, which leaves
 // the last tasklet's siblings waiting at a barrier. A broadcast push to a
-// DPU subset, freed and pushed again, covers the transfer path. The last
-// two are the fuzzer's own first finding (see
+// DPU subset, freed and pushed again, covers the transfer path. Then come
+// the fuzzer's own first finding (see
 // TestFreeReleasesRankAfterPendingFailure): a batched write past the banks,
 // and a write to an unknown symbol that stays staged under vPIM-pipe, both
-// failing only at Free.
+// failing only at Free. The last is an index-search partition whose
+// structure runs past is_words, set first short of it and then past the
+// bank (TestIndexKernelScanPastPartition pins the error).
 func guestSessionSeeds() [][]byte {
 	wide := func(kernel string) []byte {
 		var b sessionBuilder
@@ -301,10 +303,19 @@ func guestSessionSeeds() [][]byte {
 		push.u8(opReadMRAM, 1).span(4096, 4096)
 		push.u8(opFreeReattach)
 	}
-	var pastEnd, unknownSym sessionBuilder
+	var pastEnd, unknownSym, index sessionBuilder
 	pastEnd.u8(opAttach).writeMRAM(0, sessionMRAM+16, 8, 0x77)
 	unknownSym.u8(opAttach, opWriteSym, 0, 0, 0, 4, 0, 0x11)
-	return [][]byte{wide("prim/hst-s"), wide("prim/hst-l"), ts, ck, push, pastEnd, unknownSym}
+	// Each partition's header claims 0x01010101 docs of 0x01010101 terms:
+	// the scan runs into is_words, then, with is_words past the bank, into
+	// the bank's end.
+	index.u8(opAttach).load("upmem/index-search")
+	for d := 0; d < sessionDPUs; d++ {
+		index.writeMRAM(d, 0, 4096, 0x01)
+	}
+	index.setSym(1, 1).setSym(0, 64).launch(0, 1, 2, 3)
+	index.setSym(0, sessionMRAM/4+64).launch(0, 1, 2, 3)
+	return [][]byte{wide("prim/hst-s"), wide("prim/hst-l"), ts, ck, push, pastEnd, unknownSym, index}
 }
 
 // sessionVariants are the configurations every fuzzed session runs under:
