@@ -1,18 +1,23 @@
 // Command vpim-manager runs the host-side rank manager as a standalone
 // daemon over a UNIX domain socket (Section 3.5): the process every
 // Firecracker instance on the host contacts to allocate and release UPMEM
-// ranks. The protocol is newline-delimited JSON; see internal/manager.
+// ranks, first come first served with a retry timeout, while a background
+// observer resets released ranks.
 //
 // Usage:
 //
 //	vpim-manager -socket /tmp/vpim-manager.sock -ranks 8
 //
-// Try it with a shell client:
+// The protocol is newline-delimited JSON, one reply per request, with the
+// four verbs of manager.Request:
 //
-//	printf '{"op":"alloc","owner":"vm0"}\n' | nc -U /tmp/vpim-manager.sock
+//	{"op":"alloc","owner":"vm0"}             {"ok":true,"rank":1,"latencyNs":36000000}
+//	{"op":"release","owner":"vm0","rank":1}  {"ok":true}
+//	{"op":"states"}                          {"ok":true,"states":["NAAV","NANA"]}
+//	{"op":"metrics"}                         {"ok":true,"metrics":{"manager.releases":1,...}}
 //
-// The METRICS verb returns the manager's counter snapshot (allocations
-// granted/parked/timed out, releases, resets, quarantines) as JSON.
+// A release of a rank the owner does not hold is refused, and a reply
+// omits a zero "rank".
 package main
 
 import (
@@ -37,35 +42,25 @@ func main() {
 		retries = flag.Int("retries", 3, "allocation poll attempts before abandoning")
 		timeout = flag.Duration("retry-timeout", 100*time.Millisecond, "first allocation poll interval")
 		backoff = flag.Float64("backoff", 2, "poll-interval multiplier per failed attempt")
-		sched   = flag.String("sched", "none", "oversubscription policy: none (FIFO wait) or slice (preemptive time-slicing)")
-		quantum = flag.Duration("quantum", 5*time.Millisecond, "virtual runtime per slice before a tenant becomes preemptible (-sched slice)")
 	)
 	flag.Parse()
-	var policy manager.SchedPolicy
-	switch *sched {
-	case "none":
-		policy = manager.SchedNone
-	case "slice":
-		policy = manager.SchedSlice
-	default:
-		fmt.Fprintf(os.Stderr, "vpim-manager: unknown -sched policy %q (want none or slice)\n", *sched)
-		os.Exit(2)
-	}
 	opts := manager.Options{
 		Threads:      *threads,
 		Retries:      *retries,
 		RetryTimeout: *timeout,
 		Backoff:      *backoff,
-		SchedPolicy:  policy,
-		Quantum:      *quantum,
 	}
-	if err := run(*socket, *ranks, *dpus, opts); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	if err := run(*socket, *ranks, *dpus, opts, stop); err != nil {
 		fmt.Fprintln(os.Stderr, "vpim-manager:", err)
 		os.Exit(1)
 	}
 }
 
-func run(socket string, ranks, dpus int, opts manager.Options) error {
+// run serves the manager on socket until stop delivers a value or is
+// closed, then shuts down and returns nil.
+func run(socket string, ranks, dpus int, opts manager.Options, stop <-chan os.Signal) error {
 	mach, err := pim.NewMachine(pim.MachineConfig{
 		Ranks: ranks,
 		Rank:  pim.RankConfig{DPUs: dpus},
@@ -87,13 +82,11 @@ func run(socket string, ranks, dpus int, opts manager.Options) error {
 	}
 	fmt.Printf("vpim-manager: %d ranks (%d DPUs each), listening on %s\n", ranks, dpus, socket)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(l) }()
 
 	select {
-	case <-sig:
+	case <-stop:
 		fmt.Println("vpim-manager: shutting down")
 		// Close the manager first: waiters parked in the FIFO queue unwind
 		// immediately instead of sleeping out their retry budgets.

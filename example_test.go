@@ -60,7 +60,7 @@ func ExampleHost_Manager() {
 		return
 	}
 	fmt.Println("after alloc:", mgr.States()[0])
-	if err := mgr.Release(rank); err != nil {
+	if err := mgr.ReleaseOwned("tenant", rank); err != nil {
 		fmt.Println(err)
 		return
 	}

@@ -431,7 +431,7 @@ func (h *Harness) ManagerOverhead() error {
 		return err
 	}
 	h.printf("manager alloc-naav=%sms\n", ms(latency))
-	if err := mgr.Release(rank); err != nil {
+	if err := mgr.ReleaseOwned("vmA", rank); err != nil {
 		return err
 	}
 	// Same-owner reallocation skips the reset.

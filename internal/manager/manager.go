@@ -498,14 +498,16 @@ func (m *Manager) quarantineLocked(e *entry) {
 	m.cQuarantines.Inc()
 }
 
-// Release returns a rank to the manager. In the real system the VM does not
-// call the manager: a dedicated observer thread notices the release through
-// the rank's sysfs status file; this method is that observation. The rank
-// becomes NANA until ProcessResets (the observer's background erase) or a
-// same-owner reallocation — unless a request is waiting, in which case the
-// head of the FIFO queue is served immediately. Releasing a quarantined rank
-// is a no-op: the rank is already out of service.
-func (m *Manager) Release(r *pim.Rank) error {
+// release returns a rank to the manager whoever holds it; only
+// ReleaseNative and resumeParked, which know the holder, call it. In the
+// real system the VM does not call the manager: a dedicated observer thread
+// notices the release through the rank's sysfs status file; this method is
+// that observation. The rank becomes NANA until ProcessResets (the
+// observer's background erase) or a same-owner reallocation — unless a
+// request is waiting, in which case the head of the FIFO queue is served
+// immediately. Releasing a quarantined rank is a no-op: the rank is already
+// out of service.
+func (m *Manager) release(r *pim.Rank) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	e := m.entryLocked(r)
@@ -682,7 +684,7 @@ func (m *Manager) AcquireNative(nrDPUs int) ([]*pim.Rank, error) {
 func (m *Manager) ReleaseNative(r *pim.Rank) {
 	// Errors here mean double release; native.RankPool has no error path
 	// and the state machine is already consistent, so drop it.
-	_ = m.Release(r)
+	_ = m.release(r)
 }
 
 // RankByIndex looks a rank up by its machine index.

@@ -44,7 +44,7 @@ func TestLifecycle(t *testing.T) {
 	if mgr.Owners()[rank.Index()] != "vmA" {
 		t.Error("owner not recorded")
 	}
-	if err := mgr.Release(rank); err != nil {
+	if err := mgr.ReleaseOwned("vmA", rank); err != nil {
 		t.Fatal(err)
 	}
 	if mgr.States()[rank.Index()] != StateNANA {
@@ -72,7 +72,7 @@ func TestSameOwnerReuse(t *testing.T) {
 	if err := rank.WriteDPU(0, 0, []byte{42}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Release(rank); err != nil {
+	if err := mgr.ReleaseOwned("vmA", rank); err != nil {
 		t.Fatal(err)
 	}
 	again, latency, err := mgr.Alloc("vmA")
@@ -108,7 +108,7 @@ func TestForeignNANAResets(t *testing.T) {
 	if err := rank.WriteDPU(0, 0, []byte{42}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Release(rank); err != nil {
+	if err := mgr.ReleaseOwned("vmA", rank); err != nil {
 		t.Fatal(err)
 	}
 	again, latency, err := mgr.Alloc("vmB")
@@ -162,12 +162,21 @@ func TestReleaseErrors(t *testing.T) {
 	mach := testMachine(t, 1)
 	mgr := New(mach, Options{})
 	rank, _ := mach.Rank(0)
-	if err := mgr.Release(rank); !errors.Is(err, ErrNotAllocated) {
+	if err := mgr.ReleaseOwned("vmA", rank); !errors.Is(err, ErrNotAllocated) {
 		t.Errorf("releasing a NAAV rank: %v", err)
 	}
 	other := pim.NewRank(99, pim.RankConfig{DPUs: 1, MRAMBytes: 1 << 20}, cost.Default())
-	if err := mgr.Release(other); !errors.Is(err, ErrNotAllocated) {
+	if err := mgr.ReleaseOwned("vmA", other); !errors.Is(err, ErrNotAllocated) {
 		t.Errorf("releasing a foreign rank: %v", err)
+	}
+	if _, _, err := mgr.Alloc("vmA"); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.ReleaseOwned("vmB", rank); !errors.Is(err, ErrNotAllocated) {
+		t.Errorf("releasing another owner's rank: %v", err)
+	}
+	if st, owner := mgr.States()[0], mgr.Owners()[0]; st != StateALLO || owner != "vmA" {
+		t.Errorf("after a refused release the rank is %v for %q, want ALLO for vmA", st, owner)
 	}
 }
 
@@ -236,6 +245,9 @@ func TestServer(t *testing.T) {
 	}
 	defer closeClient()
 
+	if _, _, err := client.Alloc(""); err == nil {
+		t.Error("an alloc without an owner was granted")
+	}
 	rank, latency, err := client.Alloc("vmX")
 	if err != nil {
 		t.Fatal(err)
@@ -243,14 +255,22 @@ func TestServer(t *testing.T) {
 	if latency != 36*time.Millisecond {
 		t.Errorf("latency over the wire = %v", latency)
 	}
+	// A release names its owner: neither another owner nor a request
+	// without one may free vmX's rank.
+	if err := client.Release("vmY", rank); err == nil {
+		t.Error("vmY released vmX's rank")
+	}
+	if err := client.Release("", rank); err == nil {
+		t.Error("a release without an owner succeeded")
+	}
 	states, err := client.States()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if states[rank] != "ALLO" {
-		t.Errorf("state[%d] = %s", rank, states[rank])
+	if states[rank] != "ALLO" || mgr.Owners()[rank] != "vmX" {
+		t.Errorf("rank %d is %s for %q, want ALLO for vmX", rank, states[rank], mgr.Owners()[rank])
 	}
-	if err := client.Release(rank); err != nil {
+	if err := client.Release("vmX", rank); err != nil {
 		t.Fatal(err)
 	}
 	states, err = client.States()
@@ -260,7 +280,7 @@ func TestServer(t *testing.T) {
 	if states[rank] != "NANA" {
 		t.Errorf("state after release = %s", states[rank])
 	}
-	if err := client.Release(99); err == nil {
+	if err := client.Release("vmX", 99); err == nil {
 		t.Error("releasing unknown rank must fail")
 	}
 
@@ -268,6 +288,26 @@ func TestServer(t *testing.T) {
 	srv.Shutdown()
 	if err := <-done; err != nil {
 		t.Errorf("Serve returned %v", err)
+	}
+}
+
+// TestServerServeAfterShutdown: Serve called after Shutdown closes its
+// listener and returns nil, as it does when Shutdown comes second, so a
+// server shut down before its Serve goroutine ran reports no error.
+func TestServerServeAfterShutdown(t *testing.T) {
+	srv := NewServer(New(testMachine(t, 1), Options{}))
+	sock := filepath.Join(t.TempDir(), "mgr.sock")
+	l, err := net.Listen("unix", sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Shutdown()
+	if err := srv.Serve(l); err != nil {
+		t.Errorf("Serve after Shutdown = %v, want nil", err)
+	}
+	if conn, err := net.Dial("unix", sock); err == nil {
+		_ = conn.Close()
+		t.Error("Serve after Shutdown left its listener open")
 	}
 }
 
@@ -321,7 +361,7 @@ func TestObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Release(rank); err != nil {
+	if err := mgr.ReleaseOwned("vm", rank); err != nil {
 		t.Fatal(err)
 	}
 	// The observer erases the NANA rank in the background.

@@ -56,7 +56,7 @@ func TestMigratePrefersCleanThenResetsDirty(t *testing.T) {
 	if err := other.WriteDPU(0, 0, []byte{0xFF}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Release(other); err != nil {
+	if err := mgr.ReleaseOwned("b", other); err != nil {
 		t.Fatal(err)
 	}
 
@@ -237,7 +237,7 @@ func TestMigrateCheckpointFailureReoffersTarget(t *testing.T) {
 	if err := other.WriteDPU(0, 0, []byte{0xEE}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Release(other); err != nil {
+	if err := mgr.ReleaseOwned("b", other); err != nil {
 		t.Fatal(err)
 	}
 

@@ -91,16 +91,16 @@ type AcquireCost struct {
 // Total sums the phases.
 func (c AcquireCost) Total() time.Duration { return c.Wait + c.Checkpoint + c.Restore }
 
-// OwnerSched is one row of the `sched` wire verb: an owner's residency and
+// OwnerSched is one row of Manager.Sched: an owner's residency and
 // preemption statistics.
 type OwnerSched struct {
-	Owner       string `json:"owner"`
-	RuntimeNS   int64  `json:"runtimeNs"` // lifetime virtual runtime
-	SliceNS     int64  `json:"sliceNs"`   // runtime in the current residency
-	Preemptions int64  `json:"preemptions"`
-	Restores    int64  `json:"restores"`
-	Parked      bool   `json:"parked"` // a snapshot is parked, awaiting a rank
-	Rank        int    `json:"rank"`   // resident rank index, -1 when none
+	Owner       string
+	RuntimeNS   int64 // lifetime virtual runtime
+	SliceNS     int64 // runtime in the current residency
+	Preemptions int64
+	Restores    int64
+	Parked      bool // a snapshot is parked, awaiting a rank
+	Rank        int  // resident rank index, -1 when none
 }
 
 // statLocked returns (allocating on demand) owner's scheduling account.
@@ -277,7 +277,7 @@ func (m *Manager) resumeParked(owner string) (*pim.Rank, AcquireCost, error) {
 		if snap == nil {
 			// The owner discarded its state while this resume was waiting
 			// in the queue; return the freshly granted rank and give up.
-			_ = m.Release(rank)
+			_ = m.release(rank)
 			return nil, cost, fmt.Errorf("resume %s: %w", owner, ErrNotAllocated)
 		}
 		// The restore copy runs without the lock: the snapshot still parked
@@ -339,11 +339,12 @@ func (m *Manager) EndOp(r *pim.Rank, elapsed time.Duration) {
 	}
 }
 
-// ReleaseOwned returns owner's rank, resolving the race rank-keyed Release
-// cannot: if the owner was preempted, its state lives in a parked snapshot
-// and r may already belong to another tenant — the snapshot is discarded
-// and r is left untouched. A quarantined rank releases as a no-op, like
-// Release.
+// ReleaseOwned returns owner's rank; it is the one release a tenant has, in
+// process and over the socket, so nobody frees a rank it does not hold. It
+// also resolves the race a rank-keyed release cannot: if the owner was
+// preempted, its state lives in a parked snapshot and r may already belong
+// to another tenant — the snapshot is discarded and r is left untouched. A
+// quarantined rank releases as a no-op.
 func (m *Manager) ReleaseOwned(owner string, r *pim.Rank) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -385,8 +386,9 @@ func (m *Manager) Discard(owner string) bool {
 	return true
 }
 
-// Sched snapshots per-owner residency and preemption statistics (the
-// `sched` socket verb), sorted by owner.
+// Sched snapshots per-owner residency and preemption statistics, sorted by
+// owner. It is in-process only: the daemon does not time-slice (see
+// Request).
 func (m *Manager) Sched() []OwnerSched {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -422,62 +420,4 @@ func schedStress(t *testing.T, ranks, owners int, migrate bool) {
 	}
 	t.Logf("stress: preemptions=%d restores=%d migrations=%d quarantines=%d",
 		mgr.Preemptions(), mgr.SchedRestores(), mgr.Migrations(), mgr.Faults())
-}
-
-// TestServerSchedVerb exercises the `sched` wire verb: after an
-// oversubscribed allocation preempts the resident VM, the client must see
-// one parked row and one resident row with the right statistics.
-func TestServerSchedVerb(t *testing.T) {
-	mgr := New(testMachine(t, 1), schedOpts())
-	srv := NewServer(mgr)
-	sock := filepath.Join(t.TempDir(), "mgr.sock")
-	l, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-
-	client, err := Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := false
-	closeClient := func() {
-		if !closed {
-			closed = true
-			_ = client.Close()
-		}
-	}
-	defer closeClient()
-
-	if _, _, err := client.Alloc("vmA"); err != nil {
-		t.Fatal(err)
-	}
-	// vmA never ran (no operations over this connection), so its slice is
-	// zero and vmB's allocation must go through the aging path.
-	rankB, _, err := client.Alloc("vmB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := client.Sched()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byOwner := make(map[string]OwnerSched, len(rows))
-	for _, r := range rows {
-		byOwner[r.Owner] = r
-	}
-	if r := byOwner["vmA"]; !r.Parked || r.Rank != -1 || r.Preemptions != 1 {
-		t.Errorf("sched row for vmA = %+v, want parked with one preemption", r)
-	}
-	if r := byOwner["vmB"]; r.Parked || r.Rank != rankB {
-		t.Errorf("sched row for vmB = %+v, want resident on rank %d", r, rankB)
-	}
-
-	closeClient()
-	srv.Shutdown()
-	if err := <-done; err != nil {
-		t.Errorf("Serve returned %v", err)
-	}
 }

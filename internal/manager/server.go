@@ -14,14 +14,17 @@ import (
 // over a UNIX domain socket, which is how VMs (Firecracker processes) reach
 // the manager in the real system (Section 3.5).
 
-// Request is one client message.
+// Request is one client message, for one of four verbs: "alloc" (Owner)
+// grants Owner a rank, waiting in the FIFO queue while none is free;
+// "release" (Owner, Rank) returns Owner's rank and refuses one Owner does
+// not hold; "states" and "metrics" report the rank table and the counters.
+// "alloc" and "release" need an Owner. There is no time-slicing verb: a
+// socket client never brackets an operation with Acquire/EndOp, so a
+// tenant preempted off its rank would stay parked.
 type Request struct {
-	// Op is "alloc", "release", "states", "metrics" or "sched".
-	Op string `json:"op"`
-	// Owner identifies the requesting vUPMEM device for "alloc".
+	Op    string `json:"op"`
 	Owner string `json:"owner,omitempty"`
-	// Rank is the rank index for "release".
-	Rank int `json:"rank,omitempty"`
+	Rank  int    `json:"rank,omitempty"`
 }
 
 // Response is one server message.
@@ -32,7 +35,6 @@ type Response struct {
 	LatencyNS int64            `json:"latencyNs,omitempty"`
 	States    []string         `json:"states,omitempty"`
 	Metrics   map[string]int64 `json:"metrics,omitempty"`
-	Sched     []OwnerSched     `json:"sched,omitempty"`
 }
 
 // Server exposes a Manager over a listener. The prototype's thread pool
@@ -53,8 +55,8 @@ type Server struct {
 	closed   bool
 }
 
-// NewServer wraps a manager for serving, with a request pool of
-// opts.Threads slots.
+// NewServer wraps a SchedNone manager (see Request) for serving, with a
+// request pool of opts.Threads slots.
 func NewServer(mgr *Manager) *Server {
 	return &Server{
 		mgr:   mgr,
@@ -63,13 +65,15 @@ func NewServer(mgr *Manager) *Server {
 	}
 }
 
-// Serve accepts connections until Shutdown. It blocks; run it from a
+// Serve accepts connections until Shutdown, then returns nil; called after
+// Shutdown, it closes l and returns nil at once. It blocks; run it from a
 // dedicated goroutine.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return errors.New("manager: server already shut down")
+		_ = l.Close()
+		return nil
 	}
 	s.listener = l
 	s.mu.Unlock()
@@ -158,6 +162,9 @@ func (s *Server) handleConn(conn net.Conn) {
 }
 
 func (s *Server) dispatch(req Request) Response {
+	if (req.Op == "alloc" || req.Op == "release") && req.Owner == "" {
+		return Response{Error: fmt.Sprintf("%s: missing owner", req.Op)}
+	}
 	switch req.Op {
 	case "alloc":
 		// While the allocation is parked in the manager's FIFO queue the
@@ -177,7 +184,7 @@ func (s *Server) dispatch(req Request) Response {
 		if !ok {
 			return Response{Error: fmt.Sprintf("unknown rank %d", req.Rank)}
 		}
-		if err := s.mgr.Release(rank); err != nil {
+		if err := s.mgr.ReleaseOwned(req.Owner, rank); err != nil {
 			return Response{Error: err.Error()}
 		}
 		return Response{OK: true}
@@ -190,22 +197,21 @@ func (s *Server) dispatch(req Request) Response {
 		return Response{OK: true, States: out}
 	case "metrics":
 		return Response{OK: true, Metrics: s.mgr.Metrics()}
-	case "sched":
-		return Response{OK: true, Sched: s.mgr.Sched()}
 	default:
 		return Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
 }
 
-// DialOptions tunes the client's transient-failure handling. A daemon
-// restarting its listener refuses connections briefly, so a client that
-// gives up on the first dial or read error turns the restart into a
-// spurious tenant error; bounded retry with backoff rides the gap out.
+// DialOptions tunes how a client dials. A daemon restarting its listener
+// refuses connections briefly, so a client that gives up on the first dial
+// turns the restart into a spurious tenant error; bounded retry with
+// backoff rides the gap out. Only the dial retries: a request is written
+// at most once (see Client).
 type DialOptions struct {
-	// Retries is the total attempt budget for a dial or a round trip
-	// (including the first attempt). 0 selects 3.
+	// Retries is the dial attempt budget (including the first attempt).
+	// 0 selects 3.
 	Retries int
-	// Backoff is the pause before each re-attempt, growing linearly
+	// Backoff is the pause before each re-dial, growing linearly
 	// (backoff, 2*backoff, ...). 0 selects 10ms.
 	Backoff time.Duration
 }
@@ -220,11 +226,10 @@ func (o DialOptions) withDefaults() DialOptions {
 	return o
 }
 
-// Client talks to a manager daemon over its socket. A transient dial or
-// read failure is retried with backoff on a fresh connection (bounded by
-// DialOptions), which gives requests at-least-once semantics: a retried
-// "alloc" may be granted twice on the daemon, where the same-owner reuse
-// path coalesces the duplicate. Idempotent verbs retry safely.
+// Client talks to a manager daemon over its socket. It writes each request
+// at most once (a resent "alloc" would grant a second rank): a transport
+// failure fails the call and drops the connection, and the next call dials
+// afresh.
 type Client struct {
 	mu      sync.Mutex
 	network string
@@ -246,19 +251,15 @@ func DialWith(network, addr string, opts DialOptions) (*Client, error) {
 	c := &Client{network: network, addr: addr, opts: opts.withDefaults()}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.redialLocked(); err != nil {
+	if err := c.dialLocked(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// redialLocked (re)establishes the connection, consuming the full retry
-// budget. Call with c.mu held.
-func (c *Client) redialLocked() error {
-	if c.conn != nil {
-		_ = c.conn.Close()
-		c.conn = nil
-	}
+// dialLocked connects, spending the dial retry budget. Call with c.mu held
+// and no live connection.
+func (c *Client) dialLocked() error {
 	var lastErr error
 	for attempt := 0; attempt < c.opts.Retries; attempt++ {
 		if attempt > 0 {
@@ -289,40 +290,31 @@ func (c *Client) Close() error {
 	return err
 }
 
-// roundTrip sends one request and reads one reply, retrying transient
-// transport failures on a fresh connection. The final error always wraps
-// the underlying transport error (io.EOF when the server closed mid-reply,
-// not a synthetic "connection closed"), so callers can errors.Is against
-// the real cause.
+// roundTrip sends one request and reads one reply, dialing first when an
+// earlier failure dropped the connection. The request is never resent. The
+// error wraps the transport error (io.EOF when the server closed
+// mid-reply), so callers can errors.Is against the real cause.
 func (c *Client) roundTrip(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var lastErr error
-	for attempt := 0; attempt < c.opts.Retries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * c.opts.Backoff)
+	if c.conn == nil {
+		if err := c.dialLocked(); err != nil {
+			return Response{}, err
 		}
-		if c.conn == nil {
-			if err := c.redialLocked(); err != nil {
-				lastErr = err
-				continue
-			}
-		}
-		resp, err := c.attemptLocked(req)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
+	}
+	resp, err := c.exchangeLocked(req)
+	if err != nil {
 		// The connection is in an unknown state (half-written request,
-		// partial reply): drop it so the next attempt starts clean.
+		// partial reply): drop it so the next call starts clean.
 		_ = c.conn.Close()
 		c.conn = nil
+		return Response{}, fmt.Errorf("manager: round trip: %w", err)
 	}
-	return Response{}, fmt.Errorf("manager: round trip failed after %d attempts: %w", c.opts.Retries, lastErr)
+	return resp, nil
 }
 
-// attemptLocked performs one send+receive on the live connection.
-func (c *Client) attemptLocked(req Request) (Response, error) {
+// exchangeLocked performs one send+receive on the live connection.
+func (c *Client) exchangeLocked(req Request) (Response, error) {
 	if err := c.enc.Encode(req); err != nil {
 		return Response{}, fmt.Errorf("send: %w", err)
 	}
@@ -341,7 +333,8 @@ func (c *Client) attemptLocked(req Request) (Response, error) {
 
 // Alloc requests a rank for owner; it returns the rank index and the
 // modeled allocation latency. The call blocks while the daemon's manager
-// holds the request in its FIFO waiter queue.
+// holds the request in its FIFO waiter queue. If the reply is lost, the
+// call fails and a rank the daemon granted stays held by owner.
 func (c *Client) Alloc(owner string) (int, time.Duration, error) {
 	resp, err := c.roundTrip(Request{Op: "alloc", Owner: owner})
 	if err != nil {
@@ -353,9 +346,10 @@ func (c *Client) Alloc(owner string) (int, time.Duration, error) {
 	return resp.Rank, time.Duration(resp.LatencyNS), nil
 }
 
-// Release returns a rank by index.
-func (c *Client) Release(rank int) error {
-	resp, err := c.roundTrip(Request{Op: "release", Rank: rank})
+// Release returns owner's rank by index; the daemon refuses a rank owner
+// does not hold.
+func (c *Client) Release(owner string, rank int) error {
+	resp, err := c.roundTrip(Request{Op: "release", Owner: owner, Rank: rank})
 	if err != nil {
 		return err
 	}
@@ -387,16 +381,4 @@ func (c *Client) Metrics() (map[string]int64, error) {
 		return nil, errors.New(resp.Error)
 	}
 	return resp.Metrics, nil
-}
-
-// Sched fetches per-owner residency and preemption statistics.
-func (c *Client) Sched() ([]OwnerSched, error) {
-	resp, err := c.roundTrip(Request{Op: "sched"})
-	if err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, errors.New(resp.Error)
-	}
-	return resp.Sched, nil
 }

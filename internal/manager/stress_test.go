@@ -37,7 +37,7 @@ func TestAllocWaitsForRelease(t *testing.T) {
 	}
 	go func() {
 		time.Sleep(25 * time.Millisecond)
-		if err := mgr.Release(held); err != nil {
+		if err := mgr.ReleaseOwned("holder", held); err != nil {
 			t.Error(err)
 		}
 	}()
@@ -75,13 +75,14 @@ func TestAllocFIFOOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r, _, err := mgr.Alloc(fmt.Sprintf("w%d", i))
+			owner := fmt.Sprintf("w%d", i)
+			r, _, err := mgr.Alloc(owner)
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
 			}
 			order <- i
-			if err := mgr.Release(r); err != nil {
+			if err := mgr.ReleaseOwned(owner, r); err != nil {
 				t.Errorf("waiter %d release: %v", i, err)
 			}
 		}()
@@ -89,7 +90,7 @@ func TestAllocFIFOOrder(t *testing.T) {
 		// order is deterministic.
 		waitFor(t, fmt.Sprintf("waiter %d queued", i), func() bool { return mgr.Waiters() == i+1 })
 	}
-	if err := mgr.Release(held); err != nil {
+	if err := mgr.ReleaseOwned("holder", held); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -128,7 +129,7 @@ func TestAllocReleaseStorm(t *testing.T) {
 					errs <- fmt.Errorf("%s iter %d: %w", owner, it, err)
 					return
 				}
-				if err := mgr.Release(r); err != nil {
+				if err := mgr.ReleaseOwned(owner, r); err != nil {
 					errs <- fmt.Errorf("%s iter %d release: %w", owner, it, err)
 					return
 				}
@@ -246,7 +247,7 @@ func TestServerManyPersistentClients(t *testing.T) {
 					errs <- fmt.Errorf("%s iter %d: %w", owner, it, err)
 					return
 				}
-				if err := c.Release(idx); err != nil {
+				if err := c.Release(owner, idx); err != nil {
 					errs <- fmt.Errorf("%s iter %d release: %w", owner, it, err)
 					return
 				}
@@ -302,19 +303,20 @@ func TestServerFIFOOverSocket(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			idx, _, err := c.Alloc(fmt.Sprintf("w%d", i))
+			owner := fmt.Sprintf("w%d", i)
+			idx, _, err := c.Alloc(owner)
 			if err != nil {
 				t.Errorf("client %d: %v", i, err)
 				return
 			}
 			order <- i
-			if err := c.Release(idx); err != nil {
+			if err := c.Release(owner, idx); err != nil {
 				t.Errorf("client %d release: %v", i, err)
 			}
 		}()
 		waitFor(t, fmt.Sprintf("client %d parked", i), func() bool { return mgr.Waiters() == i+1 })
 	}
-	if err := holder.Release(heldIdx); err != nil {
+	if err := holder.Release("holder", heldIdx); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -377,7 +379,7 @@ func TestFaultResetQuarantineAndRevive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Release(r); err != nil {
+	if err := mgr.ReleaseOwned("vmA", r); err != nil {
 		t.Fatal(err)
 	}
 	// vmB needs the dirty rank reset; the reset fails, the rank is

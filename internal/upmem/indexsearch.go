@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/hostmem"
 	"repro/internal/pim"
 	"repro/internal/prim"
 	"repro/internal/sdk"
@@ -286,8 +287,9 @@ func prepareIndexSearch(p IndexSearchParams) *indexData {
 
 // RunIndexSearch executes the benchmark configuration (445 requests in
 // batches of 128) and verifies every hit list against the host's
-// reference, which prepareIndexSearch computes once per params.
-func RunIndexSearch(env sdk.Env, p IndexSearchParams) error {
+// reference, which prepareIndexSearch computes once per params. Like
+// RunChecksum, it frees the guest buffers it allocates before returning.
+func RunIndexSearch(env sdk.Env, p IndexSearchParams) (err error) {
 	p = p.withDefaults()
 	in := prim.Prepared("upmem/index-search", p, prepareIndexSearch)
 
@@ -309,12 +311,19 @@ func RunIndexSearch(env sdk.Env, p IndexSearchParams) error {
 
 	tl := env.Timeline()
 	// Distribute the index (CPU-DPU), one DPU at a time.
+	images := make([]hostmem.Buffer, 0, len(in.images))
+	defer func() {
+		for _, buf := range images {
+			freeBuffer(env, buf, &err)
+		}
+	}()
 	err = sdk.Phase(tl, trace.PhaseCPUDPU, func() error {
 		for d, img := range in.images {
 			buf, err := prim.AllocU32(env, img)
 			if err != nil {
 				return err
 			}
+			images = append(images, buf)
 			if err := set.PrepareXfer(d, buf); err != nil {
 				return err
 			}
@@ -340,6 +349,7 @@ func RunIndexSearch(env sdk.Env, p IndexSearchParams) error {
 	if err != nil {
 		return err
 	}
+	defer freeBuffer(env, qBuf, &err)
 	// One result region per DPU so a single parallel push retrieves the
 	// whole batch's results.
 	regionBytes := p.BatchSize * isResultSize
@@ -347,6 +357,7 @@ func RunIndexSearch(env sdk.Env, p IndexSearchParams) error {
 	if err != nil {
 		return err
 	}
+	defer freeBuffer(env, resBuf, &err)
 
 	for lo := 0; lo < p.Queries; lo += p.BatchSize {
 		batch := in.queries[lo:min(lo+p.BatchSize, p.Queries)]

@@ -177,3 +177,20 @@ func TestChecksumMultiRank(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIndexSearchFreesGuestBuffers runs index search over and over in one
+// VM whose guest RAM holds the buffers of a few runs only: each run must
+// free what it allocated, or a later one fails with guest memory exhausted.
+func TestIndexSearchFreesGuestBuffers(t *testing.T) {
+	mach, mgr := newMachine(t, 8, 8<<20)
+	vm, err := vmm.NewVM(mach, mgr, vmm.Config{Name: "t", MemBytes: 4 << 20, Options: vmm.Full()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := upmem.IndexSearchParams{DPUs: 8, Docs: 200, TermsPerDoc: 60, Queries: 64, BatchSize: 32}
+	for run := range 20 {
+		if err := upmem.RunIndexSearch(vm, p); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+}
